@@ -12,14 +12,17 @@ class DomainError(PathFVError, ValueError):
 class HyperbolicityLossError(PathFVError):
     """The coefficient matrix has complex eigenvalues at some state.
 
-    Carries the (real part of the) discriminant of the characteristic
-    polynomial and the largest imaginary part encountered.
+    Carries the discriminant of the characteristic polynomial, the largest
+    imaginary part encountered and ``indices``: the flat (C-order) positions
+    of the failing states in the batch, as a tuple of ints (None when
+    unknown).
     """
 
-    def __init__(self, message, discriminant=None, max_imag=None):
+    def __init__(self, message, discriminant=None, max_imag=None, indices=None):
         super().__init__(message)
         self.discriminant = discriminant
         self.max_imag = max_imag
+        self.indices = None if indices is None else tuple(int(i) for i in indices)
 
 
 class EigenDecompositionError(PathFVError):

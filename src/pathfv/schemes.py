@@ -82,12 +82,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class Solution:
-    """Cell averages at one time level.  Never mutated; steps return new ones."""
+    """Cell averages at one time level.  Never mutated; steps return new ones.
+
+    ``max_speed`` is max |lambda| over the states under the system of the
+    step that produced them, or None when that step did not compute it.
+    """
 
     grid: Grid
     t: float
     states: np.ndarray
     n: int = 0
+    max_speed: float | None = None
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -128,24 +133,16 @@ def cfl_dt(system, sol, cfl, max_cfl=1.0):
     try:
         speed = float(system.max_abs_speed(sol.states))
     except HyperbolicityLossError as exc:
-        bad = _first_nonhyperbolic_cell(system, sol.states)
+        bad = exc.indices[0] if exc.indices else None
         raise HyperbolicityLossError(
             f"hyperbolicity lost at cell {bad} while sizing the time step",
             discriminant=exc.discriminant,
             max_imag=exc.max_imag,
+            indices=exc.indices,
         ) from exc
     if speed <= 0.0:
         raise DomainError("zero wave speed; cannot size a time step")
     return min(cfl, max_cfl) * sol.grid.dx / speed
-
-
-def _first_nonhyperbolic_cell(system, states):
-    for i, w in enumerate(states):
-        try:
-            system.eigenvalues(w)
-        except HyperbolicityLossError:
-            return i
-    return None
 
 
 def step(scheme, sol, dt, bc=None, lambda_max=None):
@@ -167,21 +164,20 @@ def step(scheme, sol, dt, bc=None, lambda_max=None):
     if not np.all(np.isfinite(new)):
         cell = int(np.argwhere(~np.isfinite(new))[0][0])
         raise BlowUpError(f"scheme blew up at cell {cell}", cell=cell)
-    _warn_inadmissible(scheme.system, new, sol.n + 1)
-    return Solution(grid, sol.t + dt, new, sol.n + 1)
+    speed = _admissible_speed(scheme.system, new, sol.n + 1)
+    return Solution(grid, sol.t + dt, new, sol.n + 1, max_speed=speed)
 
 
-def _warn_inadmissible(system, states, n):
-    try:
-        ok = system.is_admissible(states)
-    except Exception:
-        return
+def _admissible_speed(system, states, n):
+    """Warn about inadmissible cells; return max |lambda| from the same pass."""
+    ok, speed = system.is_admissible(states, with_speed=True)
     if not np.all(ok):
         idx = np.nonzero(~np.asarray(ok))[0]
         log.warning(
             "step %d: %d cells left the admissible region (first at cell %d)",
             n, idx.size, int(idx[0]),
         )
+    return speed
 
 
 # ---------------------------------------------------------------------------
@@ -600,19 +596,25 @@ def evolve(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):
     """March ``sol`` to ``t_end``; returns the snapshots plus the final state.
 
     The step size is recomputed from the current data every step and clipped
-    so snapshot times and t_end are hit exactly.
+    so snapshot times and t_end are hit exactly.  The wave speed comes from
+    the speed the previous step carried on its ``Solution``; the first step,
+    and any step after one that carried none, asks the system.
     """
     bc = bc or FreeBoundary()
     marks = sorted(t for t in set(snapshot_times) if sol.t < t <= t_end)
     snaps = []
     guard = 0
+    # the input's own max_speed is not trusted: it may come from another system
+    lam_max = None
     while sol.t < t_end - 1e-13:
-        lam_max = float(scheme.system.max_abs_speed(sol.states))
+        if lam_max is None:
+            lam_max = float(scheme.system.max_abs_speed(sol.states))
         dt = cfl * sol.grid.dx / lam_max
         dt = min(dt, t_end - sol.t)
         if marks:
             dt = min(dt, marks[0] - sol.t)
         sol = scheme.advance(sol, dt, bc=bc, lambda_max=lam_max)
+        lam_max = sol.max_speed
         if marks and sol.t >= marks[0] - 1e-13:
             snaps.append(sol)
             marks.pop(0)

@@ -28,8 +28,10 @@ Three quasilinear systems are provided:
 
         ((lam - u1)^2 - c1^2) ((lam - u2)^2 - c2^2) = r c1^2 c2^2,
 
-    r = rho1/rho2 in [0, 1).  Internal eigenvalues turn complex when the
-    interfacial shear is too large, and such states are rejected.
+    r = rho1/rho2 in [0, 1).  It is solved in closed form, batched over
+    states, by ``solve_characteristic_quartic`` (Ferrari's method).
+    Internal eigenvalues turn complex when the interfacial shear is too
+    large, and such states are rejected.
 
 All state arrays have shape (..., N) and matrix evaluations broadcast over
 leading axes.  Instances are immutable and safe to share between workers.
@@ -54,8 +56,8 @@ def _as_states(w, n):
 
 
 def _min_gap(lam):
-    """Smallest gap between consecutive sorted eigenvalues, batched."""
-    return np.diff(np.sort(lam, axis=-1), axis=-1).min(axis=-1)
+    """Smallest gap between consecutive ascending eigenvalues, batched."""
+    return np.diff(lam, axis=-1).min(axis=-1)
 
 
 def normalize_eigenvectors(K):
@@ -108,7 +110,10 @@ class SimplifiedSystem:
             raise DomainError("simplified system requires h > 0")
         u = q / h
         if np.any(u < 0):
-            raise HyperbolicityLossError("simplified system requires u = q/h >= 0")
+            raise HyperbolicityLossError(
+                "simplified system requires u = q/h >= 0",
+                indices=np.flatnonzero(u < 0),
+            )
         s = h * np.sqrt(u)
         return np.stack([u - s, u + s], axis=-1)
 
@@ -122,18 +127,26 @@ class SimplifiedSystem:
     def max_abs_speed(self, w):
         return np.abs(self.eigenvalues(w)).max()
 
-    def is_admissible(self, w):
-        """Region 0 < q and 0 < h < (16 q)^(1/3), plus distinct eigenvalues."""
+    def is_admissible(self, w, *, with_speed=False):
+        """Region 0 < q and 0 < h < (16 q)^(1/3), plus distinct eigenvalues.
+
+        With ``with_speed`` the result is ``(ok, speed)``: speed is what
+        ``max_abs_speed(w)`` returns, from the same pass, or None where that
+        call would raise.
+        """
         w = np.asarray(w, dtype=float)
         h, q = w[..., 0], w[..., 1]
-        ok = (q > 0) & (h > 0)
-        with np.errstate(invalid="ignore"):
-            ok &= h < np.cbrt(16.0 * np.where(q > 0, q, np.nan))
-            u = np.where(ok, q / np.where(h > 0, h, 1.0), 1.0)
-            ok &= h * np.sqrt(np.abs(u)) > 0.5 * DISTINCTNESS_RTOL * (
-                np.abs(u) + h * np.sqrt(np.abs(u))
-            )
-        return ok
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = q / h
+            s = h * np.sqrt(u)
+            ok = (q > 0) & (h > 0) & (h < np.cbrt(16.0 * q))
+            ok &= s > 0.5 * DISTINCTNESS_RTOL * (u + s)
+        if not with_speed:
+            return ok
+        speed = None
+        if np.all(h > 0) and np.all(u >= 0):
+            speed = float(max(np.abs(u - s).max(), np.abs(u + s).max()))
+        return ok, speed
 
     def conservative_flux(self, w):
         w = _as_states(w, 2)
@@ -206,16 +219,27 @@ class ShallowWaterSystem:
     def max_abs_speed(self, w):
         return np.abs(self.eigenvalues(w)).max()
 
-    def is_admissible(self, w):
-        """h > 0 away from resonance (u != +-c, so no eigenvalue collides with 0)."""
+    def is_admissible(self, w, *, with_speed=False):
+        """h > 0 away from resonance (u != +-c, so no eigenvalue collides with 0).
+
+        With ``with_speed`` the result is ``(ok, speed)``: speed is what
+        ``max_abs_speed(w)`` returns, from the same pass, or None where that
+        call would raise.
+        """
         w = np.asarray(w, dtype=float)
         h, q = w[..., 0], w[..., 1]
         ok = h > 0
         u = np.where(ok, q / np.where(h > 0, h, 1.0), 0.0)
         c = np.sqrt(self.g * np.abs(h))
         scale = np.abs(u) + c
-        gap = np.minimum(np.abs(u - c), np.abs(u + c))
-        return ok & (gap > DISTINCTNESS_RTOL * scale)
+        slow, fast = np.abs(u - c), np.abs(u + c)
+        ok = ok & (np.minimum(slow, fast) > DISTINCTNESS_RTOL * scale)
+        if not with_speed:
+            return ok
+        speed = None
+        if np.all(h > 0):
+            speed = float(max(np.maximum(slow, fast).max(), 0.0))
+        return ok, speed
 
     def froude(self, w):
         w = np.asarray(w, dtype=float)
@@ -229,56 +253,106 @@ class ShallowWaterSystem:
         return F
 
 
+def _resolvent_root(p, q, r):
+    """Largest real root z of the resolvent z^3 + 2p z^2 + (p^2 - 4r) z - q^2.
+
+    Also returns the discriminant of y^4 + p y^2 + q y + r, which equals the
+    resolvent's.  Lanes with three real roots take the trigonometric form;
+    the rest (discriminant < 0: one real root, so the quartic has a complex
+    pair) take Cardano's.
+    """
+    # depressed resolvent t^3 + P t + Q with z = t - 2p/3
+    P = -p * p / 3.0 - 4.0 * r
+    Q = p * (8.0 * r / 3.0 - 2.0 * p * p / 27.0) - q * q
+    disc = -(4.0 * P * P * P + 27.0 * Q * Q)
+    rho = np.sqrt(np.maximum(-P / 3.0, 0.0))
+    cos3 = -0.5 * Q / np.maximum(rho * rho * rho, 1e-300)
+    t = 2.0 * rho * np.cos(np.arccos(np.minimum(np.maximum(cos3, -1.0), 1.0)) / 3.0)
+    one_real = disc < 0.0
+    if one_real.any():
+        half = np.sqrt(-disc[one_real] / 108.0)
+        qh = -0.5 * Q[one_real]
+        t[one_real] = np.cbrt(qh + half) + np.cbrt(qh - half)
+    return t - 2.0 * p / 3.0, disc
+
+
 def solve_characteristic_quartic(u1, u2, a1, a2, k, imag_rtol=COMPLEX_RTOL):
     """Real roots of ((lam-u1)^2 - a1)((lam-u2)^2 - a2) = k, batched.
 
-    Roots come from the companion matrix of the monic quartic followed by one
-    Newton polish.  Imaginary parts below ``imag_rtol`` (relative to the root
-    magnitude) are truncated; anything larger raises
-    ``HyperbolicityLossError`` carrying the discriminant.
+    Closed form by Ferrari's method.  Centred at s = (u1+u2)/2 with
+    d = (u1-u2)/2, the quartic reads y^4 + p y^2 + q y + r = 0 in
+    y = lam - s, with p = -2d^2 - (a1+a2), q = 2d(a2-a1) and
+    r = (d^2-a1)(d^2-a2) - k.  The largest root z of the resolvent cubic
+    splits it into the quadratics y^2 -+ sqrt(z) y + (z+p)/2 +- q/(2 sqrt z),
+    and one Newton step on the centred quartic polishes each root.
+
+    A lane is non-hyperbolic when a quadratic's discriminant is negative
+    (always so when the resolvent has a single real root) and the imaginary
+    part it gives exceeds ``imag_rtol`` relative to the root magnitude;
+    smaller imaginary parts are truncated.  Non-hyperbolic lanes raise
+    ``HyperbolicityLossError`` carrying the quartic's discriminant, the
+    largest imaginary part and the lanes' flat (C-order) indices.
+    The roots come back sorted along a new last axis.
     """
     u1, u2, a1, a2, k = np.broadcast_arrays(
         *[np.asarray(x, dtype=float) for x in (u1, u2, a1, a2, k)]
     )
-    p1 = u1 * u1 - a1
-    p2 = u2 * u2 - a2
-    c3 = -2.0 * (u1 + u2)
-    c2 = p1 + p2 + 4.0 * u1 * u2
-    c1 = -2.0 * (u1 * p2 + u2 * p1)
-    c0 = p1 * p2 - k
+    shape = u1.shape
+    u1, u2, a1, a2, k = (x.ravel() for x in (u1, u2, a1, a2, k))
+    s = 0.5 * (u1 + u2)
+    d = 0.5 * (u1 - u2)
+    dd = d * d
+    p = -2.0 * dd - (a1 + a2)
+    q = 2.0 * d * (a2 - a1)
+    r = (dd - a1) * (dd - a2) - k
 
-    shape = c0.shape
-    comp = np.zeros(shape + (4, 4))
-    comp[..., 1, 0] = 1.0
-    comp[..., 2, 1] = 1.0
-    comp[..., 3, 2] = 1.0
-    comp[..., 0, 3] = -c0
-    comp[..., 1, 3] = -c1
-    comp[..., 2, 3] = -c2
-    comp[..., 3, 3] = -c3
-    lam = np.linalg.eigvals(comp)
+    z, disc = _resolvent_root(p, q, r)
+    z = np.maximum(z, 0.0)
+    sz = np.sqrt(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = q / (2.0 * sz)
+    # q/(2 sqrt z) squares to m^2 - r, m = (z+p)/2; that form serves z ~ 0
+    tiny = z <= 1e-8 * (np.abs(p) + np.sqrt(np.abs(r)))
+    if tiny.any():
+        m = 0.5 * (z[tiny] + p[tiny])
+        w[tiny] = np.copysign(np.sqrt(np.maximum(m * m - r[tiny], 0.0)), q[tiny])
+    # discriminants of y^2 - sz y + (m + w) and y^2 + sz y + (m - w)
+    da = -z - 2.0 * p - 4.0 * w
+    db = da + 8.0 * w
+    dmin = np.minimum(da, db)
+    if (dmin < 0.0).any():
+        imag = 0.5 * np.sqrt(np.maximum(-dmin, 0.0))
+        big = 0.5 * np.sqrt(np.maximum(np.abs(da), np.abs(db)))
+        bad = imag > imag_rtol * np.maximum(1.0, np.abs(s) + 0.5 * sz + big)
+        if bad.any():
+            raise HyperbolicityLossError(
+                "complex characteristic roots: system is not hyperbolic here",
+                discriminant=float(disc[bad][0]),
+                max_imag=float(imag[bad].max()),
+                indices=np.flatnonzero(bad),
+            )
+    hz = 0.5 * sz
+    ha = 0.5 * np.sqrt(np.maximum(da, 0.0))
+    hb = 0.5 * np.sqrt(np.maximum(db, 0.0))
+    y = np.empty((4, u1.size))
+    y[0] = -hz - hb
+    y[1] = -hz + hb
+    y[2] = hz - ha
+    y[3] = hz + ha
 
-    # one Newton polish per root (complex arithmetic, Horner evaluation)
-    c3e, c2e, c1e, c0e = (np.asarray(c)[..., None] for c in (c3, c2, c1, c0))
-    p = (((lam + c3e) * lam + c2e) * lam + c1e) * lam + c0e
-    dp = ((4.0 * lam + 3.0 * c3e) * lam + 2.0 * c2e) * lam + c1e
-    safe = np.abs(dp) > 1e-300
-    lam = np.where(safe, lam - p / np.where(safe, dp, 1.0), lam)
-
-    scale = np.maximum(1.0, np.abs(lam).max(axis=-1, keepdims=True))
-    bad = np.abs(lam.imag) > imag_rtol * scale
-    if np.any(bad):
-        # discriminant from the roots of the monic quartic
-        diff = lam[..., :, None] - lam[..., None, :]
-        iu = np.triu_indices(4, k=1)
-        disc = np.prod(diff[..., iu[0], iu[1]] ** 2, axis=-1)
-        worst = np.abs(lam.imag).max()
-        raise HyperbolicityLossError(
-            "complex characteristic roots: system is not hyperbolic here",
-            discriminant=float(np.real(disc[bad.any(axis=-1)].flat[0])),
-            max_imag=float(worst),
-        )
-    return np.sort(lam.real, axis=-1)
+    # one Newton polish per root on ((y-d)^2 - a1)((y+d)^2 - a2) - k
+    ym = y - d
+    yp = y + d
+    f1 = ym * ym - a1
+    f2 = yp * yp - a2
+    f = f1 * f2 - k
+    df = 2.0 * (ym * f2 + yp * f1)
+    safe = np.abs(df) > 1e-300
+    y -= np.where(safe, f, 0.0) / np.where(safe, df, 1.0)
+    lam = np.sort((y + s).T, axis=-1)
+    if not np.isfinite(lam).all():
+        raise DomainError("characteristic quartic needs finite coefficients")
+    return lam.reshape(shape + (4,))
 
 
 class TwoLayerSystem:
@@ -364,29 +438,33 @@ class TwoLayerSystem:
         gprime = (1.0 - self.r) * self.g
         return (u1 - u2) ** 2 / (gprime * (h1 + h2))
 
-    def is_admissible(self, w):
+    def is_admissible(self, w, *, with_speed=False):
+        """Positive depths, real and distinct eigenvalues, in one batched solve.
+
+        With ``with_speed`` the result is ``(ok, speed)``: speed is what
+        ``max_abs_speed(w)`` returns, from the same solve, or None where that
+        call would raise.
+        """
         w = np.asarray(w, dtype=float)
         scalar = w.ndim == 1
         batch = w.reshape(-1, 4)
         ok = (batch[:, 0] > 0) & (batch[:, 2] > 0)
-        idx = np.nonzero(ok)[0]
-        if idx.size:
-            try:
-                lam = self.eigenvalues(batch[idx])
-            except HyperbolicityLossError:
-                # localize failures state by state
-                for i in idx:
-                    try:
-                        lam_i = self.eigenvalues(batch[i])
-                    except HyperbolicityLossError:
-                        ok[i] = False
-                        continue
-                    scale = max(np.abs(lam_i).max(), 1e-300)
-                    ok[i] = _min_gap(lam_i) > DISTINCTNESS_RTOL * scale
-            else:
-                scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
-                ok[idx] = _min_gap(lam) > DISTINCTNESS_RTOL * scale
-        return bool(ok[0]) if scalar else ok.reshape(w.shape[:-1])
+        speed = None
+        idx = np.flatnonzero(ok)
+        try:
+            lam = self.eigenvalues(batch[idx])
+        except HyperbolicityLossError as exc:
+            # the solve is lane-wise, so the other lanes solve to the same roots
+            ok[idx[list(exc.indices)]] = False
+            idx = np.flatnonzero(ok)
+            lam = self.eigenvalues(batch[idx])
+        else:
+            if idx.size == ok.size:
+                speed = float(np.abs(lam).max())
+        scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
+        ok[idx] = _min_gap(lam) > DISTINCTNESS_RTOL * scale
+        ok = bool(ok[0]) if scalar else ok.reshape(w.shape[:-1])
+        return (ok, speed) if with_speed else ok
 
     def conservative_flux(self, w):
         h1, q1, h2, q2 = self._split(w)

@@ -10,6 +10,7 @@ from pathfv import (
     GlimmScheme,
     GodunovScheme,
     Grid,
+    HyperbolicityLossError,
     LaxFriedrichsScheme,
     ModifiedLaxFriedrichsScheme,
     RoeScheme,
@@ -85,6 +86,16 @@ class TestCflDt:
         sol = make_solution(np.tile([1.0, 1.0], (5, 1)))
         with pytest.raises(DomainError):
             cfl_dt(SIMPLE, sol, 1.5)
+
+    def test_nonhyperbolic_cell_is_named(self):
+        states = np.tile([1.0, 0.0, 1.0, 0.0], (7, 1))
+        # shear indicator 4 at cell 4: complex internal eigenvalues
+        du = 2.0 * np.sqrt((1.0 - TWO.r) * G * 2.0)
+        states[4] = [1.0, 0.5 * du, 1.0, -0.5 * du]
+        with pytest.raises(HyperbolicityLossError) as err:
+            cfl_dt(TWO, make_solution(states), 0.9)
+        assert "cell 4" in str(err.value)
+        assert err.value.indices == (4,)
 
 
 def all_schemes():
@@ -388,3 +399,64 @@ def test_dirichlet_boundary_fixes_ghost():
     ext = bc.extend(states)
     assert np.allclose(ext[0], [9.0, 9.0])
     assert np.allclose(ext[-1], [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Time-step policy: evolve reuses the wave speed each step carries
+
+
+TWO_LAYER_PAIR = ([0.8, 0.1, 1.1, -0.1], [0.6, 0.05, 1.2, -0.05])
+RIEMANN_CASES = {
+    "godunov": (GodunovScheme(SIMPLE), [1.0, 1.0], [1.8, Q_R], 0.5),
+    "sw_roe": (RoeScheme(SW, SegmentsPath()), [1.0, 0.0, 0.0], [0.5, 0.0, 0.0], 0.9),
+    "two_layer_roe": (RoeScheme(TWO, SegmentsPath()), *TWO_LAYER_PAIR, 0.9),
+    "two_layer_lf": (LaxFriedrichsScheme(TWO, SegmentsPath()), *TWO_LAYER_PAIR, 0.9),
+}
+
+
+def riemann_solution(wl, wr, m=40):
+    grid = Grid(-1.0, 1.0, m)
+    states = np.where(grid.centers[:, None] < 0.0, np.asarray(wl), np.asarray(wr))
+    return Solution(grid, 0.0, states)
+
+
+@pytest.mark.parametrize("case", RIEMANN_CASES)
+def test_carried_speed_gives_identical_step_sequence(case):
+    scheme, wl, wr, cfl = RIEMANN_CASES[case]
+    t_end = 0.2
+    sol0 = riemann_solution(wl, wr)
+    times = []
+    evolve(scheme, sol0, t_end, cfl, on_step=lambda s: times.append(s.t))
+
+    # reference: ask the system for the speed before every step
+    sol, ref = sol0, []
+    while sol.t < t_end - 1e-13:
+        lam = float(scheme.system.max_abs_speed(sol.states))
+        dt = min(cfl * sol.grid.dx / lam, t_end - sol.t)
+        sol = scheme.advance(sol, dt, lambda_max=lam)
+        ref.append(sol.t)
+    assert len(ref) > 5
+    assert times == ref
+
+
+def test_two_layer_evolve_solves_each_state_once_per_step(monkeypatch):
+    import pathfv.schemes
+    import pathfv.systems
+
+    calls = []
+    quartic = pathfv.systems.solve_characteristic_quartic
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return quartic(*args, **kwargs)
+
+    monkeypatch.setattr(pathfv.systems, "solve_characteristic_quartic", counting)
+    monkeypatch.setattr(pathfv.schemes, "solve_characteristic_quartic", counting)
+    scheme = RoeScheme(TWO, SegmentsPath())
+    steps = []
+    evolve(scheme, riemann_solution(*TWO_LAYER_PAIR), 0.2, 0.9, on_step=steps.append)
+    n = len(steps)
+    assert n > 5
+    # one interface solve and one admissibility solve per step, plus the
+    # first step's speed
+    assert len(calls) <= 2 * n + 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pathfv import (
     DomainError,
@@ -57,6 +59,12 @@ class TestSimplified:
             self.sys.matrix([-1.0, 1.0])
         with pytest.raises(DomainError):
             self.sys.matrix([0.0, 1.0])
+
+    def test_negative_velocity_lanes_are_named(self):
+        W = np.array([[1.0, 1.0], [1.0, -0.5], [1.0, 1.0], [2.0, -1.0]])
+        with pytest.raises(HyperbolicityLossError) as err:
+            self.sys.eigenvalues(W)
+        assert err.value.indices == (1, 3)
 
     def test_admissibility_region(self):
         assert self.sys.is_admissible([1.0, 1.0])
@@ -191,6 +199,28 @@ class TestTwoLayer:
         sys = TwoLayerSystem()
         with pytest.raises(DomainError):
             sys.matrix([1.0, 0.0, -0.2, 0.0])
+        with pytest.raises(DomainError):
+            sys.eigenvalues([1.0, np.nan, 1.0, 0.0])
+
+
+def test_admissibility_speed_is_max_abs_speed(rng):
+    # the speed a step carries must equal max_abs_speed bit for bit, and be
+    # None exactly where max_abs_speed raises
+    cases = [
+        (SimplifiedSystem(), random_simplified_states(rng, 200), [1.0, -0.5]),
+        (ShallowWaterSystem(9.81), random_shallow_water_states(rng, 200), [0.0, 1.0, 0.0]),
+        (TwoLayerSystem(9.81, 0.95), random_two_layer_states(rng, 200),
+         [1.0, 1.0, 1.0, -1.0]),
+    ]
+    for sys, W, bad in cases:
+        ok, speed = sys.is_admissible(W, with_speed=True)
+        assert np.array_equal(ok, sys.is_admissible(W)), sys.name
+        assert speed == sys.max_abs_speed(W), sys.name
+        W = np.vstack([W, bad])
+        with pytest.raises((DomainError, HyperbolicityLossError)):
+            sys.max_abs_speed(W)
+        ok, speed = sys.is_admissible(W, with_speed=True)
+        assert speed is None and not ok[-1], sys.name
 
 
 def test_eigendecomposition_residual_all_systems(rng):
@@ -207,3 +237,127 @@ def test_eigendecomposition_residual_all_systems(rng):
         resid = sys.matrix(W) @ K - K * lam[..., None, :]
         assert np.abs(resid).max() < 1e-10, sys.name
         assert np.all(np.diff(lam, axis=-1) > 0), sys.name
+
+
+# ---------------------------------------------------------------------------
+# Closed-form quartic against the dense eigensolver
+
+G = 9.81
+depth = st.floats(0.2, 2.0)
+velocity = st.floats(-1.0, 1.0)
+unit = st.floats(-1.0, 1.0)
+
+
+def layered_state(h1, h2, ubar, du):
+    """Two-layer state with mean velocity ubar and shear u1 - u2 = du."""
+    return np.array([h1, h1 * (ubar + 0.5 * du), h2, h2 * (ubar - 0.5 * du)])
+
+
+def dense_roots(system, w):
+    lam = np.linalg.eigvals(system.matrix(w))
+    return np.sort(lam.real), lam
+
+
+def dense_complex(system, w):
+    _, lam = dense_roots(system, w)
+    return bool(np.abs(lam.imag).max() > 1e-9 * max(1.0, np.abs(lam).max()))
+
+
+def separated(lam, rtol):
+    return np.diff(lam).min() > rtol * max(1.0, np.abs(lam).max())
+
+
+class TestQuarticClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(h1=depth, h2=depth, r=st.floats(0.0, 0.99), ubar=velocity, shear=unit)
+    def test_matches_dense_eigensolver(self, h1, h2, r, ubar, shear):
+        sys = TwoLayerSystem(G, r)
+        w = layered_state(h1, h2, ubar, shear * np.sqrt((1 - r) * G * (h1 + h2)))
+        assume(sys.is_admissible(w))
+        ref, _ = dense_roots(sys, w)
+        # the dense roots themselves are only accurate to about eps / gap
+        assume(separated(ref, 1e-4))
+        assert np.abs(sys.eigenvalues(w) - ref).max() < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(h1=depth, h2=depth, r=st.floats(0.0, 0.99), u=velocity)
+    def test_equal_velocities_biquadratic(self, h1, h2, r, u):
+        # u1 = u2 makes q = 0: (lam - u)^2 solves a quadratic
+        sys = TwoLayerSystem(G, r)
+        a1, a2 = G * h1, G * h2
+        big = 0.5 * (a1 + a2 + np.sqrt((a1 - a2) ** 2 + 4.0 * r * a1 * a2))
+        small = (1.0 - r) * a1 * a2 / big
+        expect = u + np.array([-np.sqrt(big), -np.sqrt(small),
+                               np.sqrt(small), np.sqrt(big)])
+        assume(separated(expect, 1e-4))
+        lam = sys.eigenvalues(layered_state(h1, h2, u, 0.0))
+        assert np.abs(lam - expect).max() < 1e-12
+        assert np.abs(lam - dense_roots(sys, layered_state(h1, h2, u, 0.0))[0]).max() < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(h1=depth, h2=depth, ubar=velocity, shear=unit)
+    def test_decoupled_roots_exact(self, h1, h2, ubar, shear):
+        # r = 0: k = 0 and the roots are u1 -+ c1, u2 -+ c2
+        sys = TwoLayerSystem(G, 0.0)
+        du = 3.0 * shear
+        u1, u2 = ubar + 0.5 * du, ubar - 0.5 * du
+        c1, c2 = np.sqrt(G * h1), np.sqrt(G * h2)
+        expect = np.sort([u1 - c1, u1 + c1, u2 - c2, u2 + c2])
+        # coincident roots are sqrt(eps)-conditioned
+        assume(separated(expect, 1e-3))
+        lam = sys.eigenvalues(layered_state(h1, h2, ubar, du))
+        assert np.abs(lam - expect).max() < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=depth, r=st.floats(0.01, 0.99))
+    def test_equal_depths_at_rest(self, h, r):
+        sys = TwoLayerSystem(G, r)
+        ext = np.sqrt(G * h * (1 + np.sqrt(r)))
+        inner = np.sqrt(G * h * (1 - np.sqrt(r)))
+        lam = sys.eigenvalues([h, 0.0, h, 0.0])
+        assert np.abs(lam - np.array([-ext, -inner, inner, ext])).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(h1=depth, h2=depth, r=st.floats(0.5, 0.99), ubar=velocity)
+    @example(h1=0.5, h2=0.5, r=0.98, ubar=0.0)  # symmetric: q = 0 on both sides
+    def test_loss_raised_iff_dense_roots_complex_at_boundary(self, h1, h2, r, ubar):
+        sys = TwoLayerSystem(G, r)
+        lo, hi = 0.0, 2.0 * np.sqrt((1 - r) * G * (h1 + h2))
+        assume(dense_complex(sys, layered_state(h1, h2, ubar, hi)))
+        # the dense oracle locates the shear-instability boundary
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if dense_complex(sys, layered_state(h1, h2, ubar, mid)):
+                hi = mid
+            else:
+                lo = mid
+        for du, expect in ((hi * (1 - 1e-6), False), (hi * (1 + 1e-6), True)):
+            w = layered_state(h1, h2, ubar, du)
+            assert dense_complex(sys, w) == expect
+            try:
+                sys.eigenvalues(w)
+                raised = False
+            except HyperbolicityLossError as err:
+                raised = True
+                assert err.discriminant < 0.0 and err.max_imag > 0.0
+                assert err.indices == (0,)
+            assert raised == expect
+
+    def test_batch_is_lane_wise(self, rng):
+        # admissibility retries and carried speeds rely on a state's roots
+        # not depending on the rest of its batch
+        sys = TwoLayerSystem(G, 0.95)
+        W = random_two_layer_states(rng, 50, max_shear=1.5)
+        ok = sys.is_admissible(W)
+        assert 0 < ok.sum() < len(W)
+        with pytest.raises(HyperbolicityLossError) as err:
+            sys.eigenvalues(W)
+        bad = np.array(err.value.indices)
+        for i in bad:
+            with pytest.raises(HyperbolicityLossError):
+                sys.eigenvalues(W[i])
+        good = np.setdiff1d(np.arange(len(W)), bad)
+        lam = sys.eigenvalues(W[good])
+        for j, i in enumerate(good):
+            assert np.array_equal(lam[j], sys.eigenvalues(W[i]))
+        assert not ok[bad].any()
