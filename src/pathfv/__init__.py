@@ -30,7 +30,6 @@ from .systems import (
     SimplifiedSystem,
     TwoLayerSystem,
     solve_characteristic_quartic,
-    system_from_id,
 )
 from .paths import (
     EquilibriumPath,
@@ -38,7 +37,6 @@ from .paths import (
     SegmentsPath,
     SkewedSegmentsPath,
     TwoSegmentPath,
-    path_from_id,
     path_integral,
 )
 from .schemes import (
@@ -55,9 +53,7 @@ from .schemes import (
     cfl_dt,
     evolve,
     glimm_step,
-    roe_fluctuations,
     roe_matrix,
-    scheme_from_id,
     step,
 )
 from .riemann import (

@@ -14,35 +14,30 @@ and a report with curve distances.  Reruns with the same config and seed
 produce byte-identical files; a manifest can be fed back in as the config.
 """
 
+import inspect
 import json
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
 from .diagnostics import mass_track, rh_residual
-from .errors import ConfigError
+from .errors import ConfigError, PathFVError, TraceError
 from .hugoniot import (
     extract_shock,
     numerical_curve,
     solve_rh_at,
+    stationary_contact_state,
     trace_exact,
 )
 from .hugoniot import curve_distance as _curve_distance
 from .hugoniot import _newton_free_state
-from .paths import path_from_id
-from .schemes import (
-    DirichletBoundary,
-    FreeBoundary,
-    Grid,
-    Solution,
-    evolve,
-    scheme_from_id,
-)
-from .systems import system_from_id
-from .hugoniot import stationary_contact_state
+from .paths import PATHS
+from .schemes import SCHEMES, DirichletBoundary, FreeBoundary, Grid, Solution, evolve
+from .systems import SYSTEMS
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -60,7 +55,7 @@ SCHEMA = {
             "required": ["id"],
             "additionalProperties": False,
             "properties": {
-                "id": {"enum": ["simplified", "shallow_water", "two_layer"]},
+                "id": {"enum": list(SYSTEMS)},
                 "g": _POS,
                 "r": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
             },
@@ -70,14 +65,7 @@ SCHEMA = {
             "required": ["id"],
             "additionalProperties": False,
             "properties": {
-                "id": {
-                    "enum": [
-                        "segments",
-                        "two_segment",
-                        "skewed_segments",
-                        "equilibrium",
-                    ]
-                },
+                "id": {"enum": list(PATHS)},
                 "epsilon": {"type": "number", "minimum": 0},
             },
         },
@@ -85,17 +73,7 @@ SCHEMA = {
             "type": "object",
             "required": ["id"],
             "additionalProperties": False,
-            "properties": {
-                "id": {
-                    "enum": [
-                        "roe",
-                        "lax_friedrichs",
-                        "modified_lax_friedrichs",
-                        "godunov",
-                        "glimm",
-                    ]
-                }
-            },
+            "properties": {"id": {"enum": list(SCHEMES)}},
         },
         "grid": {
             "type": "object",
@@ -235,16 +213,18 @@ def validate_config(cfg):
         e = errors[0]
         where = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"{where}: {e.message}", field=where)
-    scheme_id = cfg["scheme"]["id"]
-    if scheme_id in ("godunov", "glimm") and cfg["cfl"] > 0.5:
-        raise ConfigError(
-            f"cfl: {scheme_id} requires cfl <= 0.5", field="cfl"
-        )
-    if scheme_id in ("godunov", "glimm") and cfg["system"]["id"] != "simplified":
-        raise ConfigError(
-            f"scheme/id: {scheme_id} is only available for the simplified system",
-            field="scheme/id",
-        )
+    system_id, path_id = cfg["system"]["id"], cfg["path"]["id"]
+    scheme = SCHEMES[cfg["scheme"]["id"]]
+    for ok, field, why in (
+        (cfg["cfl"] <= scheme.max_cfl, "cfl",
+         f"{scheme.name} requires cfl <= {scheme.max_cfl}"),
+        (system_id in scheme.systems, "scheme/id",
+         f"{scheme.name} is not available for the {system_id} system"),
+        (system_id in PATHS[path_id].couplings, "path/id",
+         f"{path_id} is not defined for the {system_id} system"),
+    ):
+        if not ok:
+            raise ConfigError(f"{field}: {why}", field=field)
     if "sweep" not in cfg:
         if "grid" not in cfg and "meshes" not in cfg:
             raise ConfigError("grid: required unless a sweep is given", field="grid")
@@ -263,17 +243,22 @@ def validate_config(cfg):
 
 
 def build_components(cfg, seed=None):
-    sys_cfg = cfg["system"]
-    system = system_from_id(sys_cfg["id"], **{k: v for k, v in sys_cfg.items() if k != "id"})
-    path_cfg = cfg["path"]
-    path = path_from_id(
-        path_cfg["id"], system=system, epsilon=path_cfg.get("epsilon", 0.0),
-        g=getattr(system, "g", 9.81),
-    )
+    cls = SYSTEMS[cfg["system"]["id"]]
+    # a system takes the physical parameters its constructor names
+    params = inspect.signature(cls).parameters
+    system = cls(**{k: v for k, v in cfg["system"].items() if k in params})
+    path = _path(cfg, system, cfg["path"].get("epsilon", 0.0))
     if seed is None:
         seed = cfg.get("seed", 0)
-    scheme = scheme_from_id(cfg["scheme"]["id"], system, path, seed=seed)
-    return system, path, scheme
+    return system, path, _scheme(cfg, system, path, seed)
+
+
+def _path(cfg, system, epsilon):
+    return PATHS[cfg["path"]["id"]].for_system(system, epsilon)
+
+
+def _scheme(cfg, system, path, seed):
+    return SCHEMES[cfg["scheme"]["id"]](system, path, seed=seed)
 
 
 def _topography(x, spec):
@@ -340,14 +325,6 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _component_names(system):
-    return {
-        "simplified": ["h", "q"],
-        "shallow_water": ["h", "q", "sigma"],
-        "two_layer": ["h1", "q1", "h2", "q2"],
-    }[system.name]
-
-
 def _write_manifest(out, name, cfg, seed):
     manifest = {
         "package": "pathfv",
@@ -373,8 +350,6 @@ def _write_json(path, payload):
 
 def run(cfg, out_dir, seed=None, threads=1):
     """Time-evolution experiment: profiles + diagnostics per mesh."""
-    from pathlib import Path
-
     cfg = validate_config(load_config(cfg))
     if "initial" not in cfg:
         raise ConfigError(
@@ -387,7 +362,7 @@ def run(cfg, out_dir, seed=None, threads=1):
     out.mkdir(parents=True, exist_ok=True)
     system, path, _ = build_components(cfg, seed=seed)
     meshes = cfg.get("meshes", [cfg["grid"]["cells"]]) if "grid" in cfg else cfg["meshes"]
-    names = _component_names(system)
+    names = list(system.components)
 
     def one_mesh(cells):
         _, _, scheme = build_components(cfg, seed=seed)
@@ -455,14 +430,14 @@ def _exact_sweep_points(system, path, sweep):
     k = sweep["family"] - 1
     lam = system.eigenvalues(fixed)
     xi0 = float(lam[k])
+    steps = sweep.get("trace_steps", 64)
+    pad = sweep.get("trace_pad", 0.05)
+    points = []
     if "xi_targets" in sweep:
         xi_targets = sorted(sweep["xi_targets"])
         far = max(xi_targets, key=lambda t: abs(t - xi0))
-        pad = sweep.get("trace_pad", 0.05)
         xi_end = far + np.sign(far - xi0) * pad
-        steps = sweep.get("trace_steps", 64)
         curve = trace_exact(system, path, fixed, side, xi0, xi_end, steps)
-        points = []
         for xi_t in xi_targets:
             j = int(np.argmin(np.abs(curve.xi - xi_t)))
             w, _ = _newton_free_state(system, path, fixed, side, xi_t,
@@ -473,10 +448,7 @@ def _exact_sweep_points(system, path, sweep):
         # (the entropic side for a family-1 curve from a fixed left state)
         comp = sweep["component_targets"]["component"]
         values = sweep["component_targets"]["values"]
-        steps = sweep.get("trace_steps", 64)
-        pad = sweep.get("trace_pad", 0.05)
         curve = trace_exact(system, path, fixed, side, xi0, xi0 - 0.8 - pad, steps)
-        points = []
         for v in sorted(values, key=lambda t: abs(t - fixed[comp])):
             j = int(np.argmin(np.abs(curve.states[:, comp] - v)))
             w, xi_t = solve_rh_at(system, path, fixed, side, comp, v,
@@ -488,8 +460,6 @@ def _exact_sweep_points(system, path, sweep):
 
 def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
     """Exact-vs-numerical shock-curve comparison over meshes (and epsilons)."""
-    from pathlib import Path
-
     cfg = validate_config(load_config(cfg))
     if "sweep" not in cfg:
         raise ConfigError("config has no sweep section", field="sweep")
@@ -499,15 +469,12 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
     out.mkdir(parents=True, exist_ok=True)
     system, base_path, _ = build_components(cfg, seed=seed)
     sweep = cfg["sweep"]
-    names = _component_names(system)
+    names = list(system.components)
     epsilons = sweep.get("epsilons")
     if epsilons is None:
         path_variants = [(None, base_path)]
     else:
-        path_variants = [
-            (eps, path_from_id(cfg["path"]["id"], system=system, epsilon=eps))
-            for eps in epsilons
-        ]
+        path_variants = [(eps, _path(cfg, system, eps)) for eps in epsilons]
 
     fixed = np.asarray(sweep["fixed_state"], dtype=float)
     side = sweep["fixed_side"]
@@ -548,14 +515,14 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
             wl, wr = w_free, fixed
         states = np.where(grid.centers[:, None] < 0.0, wl, wr)
         sol = Solution(grid, 0.0, states)
-        scheme = scheme_from_id(cfg["scheme"]["id"], system, path, seed=seed)
+        scheme = _scheme(cfg, system, path, seed)
         snaps = evolve(scheme, sol, t_end, cfg["cfl"], snapshot_times=snap_times)
         plateau = max(10, int(round(0.04 / dx)))
         margin = max(3, int(round(0.01 / dx)))
         try:
             fit = extract_shock(snaps, comp, threshold=threshold, window=window,
                                 plateau_cells=plateau, margin_cells=margin)
-        except Exception as exc:  # record and continue sweeping
+        except PathFVError as exc:  # record and continue sweeping
             return ("failed", f"{type(exc).__name__}: {exc}")
         noncons, cons = rh_residual(system, fit, path)
         return ("ok", fit, noncons, cons)
@@ -604,12 +571,9 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
         report["numerical_curves"].append(
             {"epsilon": eps, "dx": dx, "file": fname, "points": len(rows)}
         )
-        try:
-            dist = _curve_distance(curves[(eps, dx)], exact_curves[eps])
-        except Exception:
-            dist = None
         report["distances"]["to_exact"].append(
-            {"epsilon": eps, "dx": dx, "distance": dist}
+            {"epsilon": eps, "dx": dx,
+             "distance": _distance(curves[(eps, dx)], exact_curves[eps])}
         )
 
     meshes = sorted(set(dx for _, dx in curves), reverse=True)
@@ -619,7 +583,7 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
             if (eps, a) in curves and (eps, b) in curves:
                 report["distances"]["mesh_to_mesh"].append(
                     {"epsilon": eps, "dx_pair": [a, b],
-                     "distance": _curve_distance(curves[(eps, a)], curves[(eps, b)])}
+                     "distance": _distance(curves[(eps, a)], curves[(eps, b)])}
                 )
     for dx in meshes:
         have = [e for e in eps_list if (e, dx) in curves and e is not None]
@@ -627,11 +591,20 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
             for eb in have[i + 1:]:
                 report["distances"]["epsilon_pairs"].append(
                     {"dx": dx, "epsilons": [ea, eb],
-                     "distance": _curve_distance(curves[(ea, dx)], curves[(eb, dx)])}
+                     "distance": _distance(curves[(ea, dx)], curves[(eb, dx)])}
                 )
     _write_json(out / "report.json", report)
     _write_manifest(out, name, cfg, seed)
     return out
+
+
+def _distance(curve_a, curve_b):
+    """Curve distance, or None when the curves share no speed range (a curve
+    with a single measured point shares none)."""
+    try:
+        return _curve_distance(curve_a, curve_b)
+    except TraceError:
+        return None
 
 
 def _eps_tag(eps):

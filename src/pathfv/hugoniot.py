@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FrontExtractionError,
-    PathConstructionError,
-    TraceError,
-)
+from .errors import FrontExtractionError, PathFVError, TraceError
 from .paths import _equilibrium_h_cached, path_integral
 
 
@@ -84,10 +80,22 @@ def _rh_residual_vec(system, path, fixed_state, side, free, xi):
     return xi * (u_r - u_l) - path_integral(path, system, u_l, u_r)
 
 
+def _fd_jacobian(resid, z):
+    """Central-difference Jacobian of ``resid`` at z."""
+    J = np.empty((len(z), len(z)))
+    for k in range(len(z)):
+        h = 1e-7 * max(1.0, abs(z[k]))
+        zp = z.copy()
+        zp[k] += h
+        zm = z.copy()
+        zm[k] -= h
+        J[:, k] = (resid(zp) - resid(zm)) / (2.0 * h)
+    return J
+
+
 def _newton_free_state(system, path, fixed_state, side, xi, seed, tol=1e-12,
                        max_iter=60):
     """Damped Newton for the free state at fixed xi.  Returns (state, resid)."""
-    n = len(fixed_state)
     w = np.array(seed, dtype=float)
     r = _rh_residual_vec(system, path, fixed_state, side, w, xi)
     rnorm = np.abs(r).max()
@@ -95,17 +103,9 @@ def _newton_free_state(system, path, fixed_state, side, xi, seed, tol=1e-12,
     for _ in range(max_iter):
         if rnorm <= tol * scale:
             break
-        J = np.empty((n, n))
-        for k in range(n):
-            h = 1e-7 * max(1.0, abs(w[k]))
-            wp = w.copy()
-            wp[k] += h
-            wm = w.copy()
-            wm[k] -= h
-            J[:, k] = (
-                _rh_residual_vec(system, path, fixed_state, side, wp, xi)
-                - _rh_residual_vec(system, path, fixed_state, side, wm, xi)
-            ) / (2.0 * h)
+        J = _fd_jacobian(
+            lambda v: _rh_residual_vec(system, path, fixed_state, side, v, xi), w
+        )
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -116,7 +116,7 @@ def _newton_free_state(system, path, fixed_state, side, xi, seed, tol=1e-12,
             w_new = w + lam * delta
             try:
                 r_new = _rh_residual_vec(system, path, fixed_state, side, w_new, xi)
-            except Exception:
+            except PathFVError:  # left the region where the residual is defined
                 lam *= 0.5
                 continue
             if np.abs(r_new).max() < rnorm:
@@ -244,21 +244,13 @@ def solve_rh_at(system, path, fixed_state, side, component, value, seed_state,
     for _ in range(max_iter):
         if np.abs(r).max() <= tol * scale:
             break
-        J = np.empty((n, n))
-        for k in range(n):
-            h = 1e-7 * max(1.0, abs(z[k]))
-            zp = z.copy()
-            zp[k] += h
-            zm = z.copy()
-            zm[k] -= h
-            J[:, k] = (resid(zp) - resid(zm)) / (2.0 * h)
-        delta = np.linalg.solve(J, -r)
+        delta = np.linalg.solve(_fd_jacobian(resid, z), -r)
         lam = 1.0
         while lam > 1e-6:
             z_new = z + lam * delta
             try:
                 r_new = resid(z_new)
-            except Exception:
+            except PathFVError:  # left the region where the residual is defined
                 lam *= 0.5
                 continue
             if np.abs(r_new).max() < np.abs(r).max():
@@ -281,12 +273,9 @@ def stationary_contact_state(sw_system, w_l, sigma_r):
     (sub- or supercritical) of the left state.
     """
     w_l = np.asarray(w_l, dtype=float)
-    try:
-        h = _equilibrium_h_cached(
-            float(w_l[0]), float(w_l[1]), float(sigma_r - w_l[2]), sw_system.g
-        )
-    except PathConstructionError:
-        raise
+    h = _equilibrium_h_cached(
+        float(w_l[0]), float(w_l[1]), float(sigma_r - w_l[2]), sw_system.g
+    )
     return np.array([h, w_l[1], float(sigma_r)])
 
 

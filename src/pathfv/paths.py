@@ -8,14 +8,20 @@ shock of speed xi is
 
 Every family satisfies Phi(0) = u_l, Phi(1) = u_r and Phi(s; u, u) = u.
 Families declare whether they follow integral curves of the linearly
-degenerate field (``follows_equilibria``) and whether the topography
-component stays frozen when it is continuous (``preserves_flat_sigma``);
-the flags are metadata asserted by tests, never trusted blindly.
+degenerate field (``follows_equilibria``); the flag is metadata asserted by
+tests, never trusted blindly.
 
-``path_integral`` evaluates the integral above, preferring a closed form
-when the (path, system) pair provides one and falling back to adaptive
-Gauss-Legendre quadrature applied per leg (piecewise paths have a tangent
-jump between legs, so each leg is integrated separately).
+A family's ``couplings`` table maps each system it is defined for, by
+name, to the function giving the path averages of the system's
+nonconservative coefficients (q h against h for the 2x2 model, -g h
+against sigma for shallow water, (c1, c2) = h1 against h2 and h2 against
+h1 for two layers).  The keys are the only list of supported (system,
+path) pairs.  The coupling carries all the path dependence: the closed
+form is ``system.jump_integral`` of it and the Roe linearization
+``system.roe_eigensystem`` of it.  ``path_integral`` uses the closed form
+for a declared pair and otherwise adaptive Gauss-Legendre quadrature per
+leg (piecewise paths have a tangent jump between legs).  ``PATHS`` maps
+config ids to the families.
 """
 
 from functools import lru_cache
@@ -32,23 +38,28 @@ class PathFamily:
 
     ``breakpoints`` lists the leg boundaries in s (smooth pieces between
     them), ``epsilon`` is the shape parameter for families that have one.
+    Families with a closed form declare ``couplings`` and implement
+    ``closed_form_integral``.
     """
 
     name = "path"
     breakpoints = (0.0, 1.0)
     follows_equilibria = False
-    preserves_flat_sigma = True
     epsilon = None
+    couplings = {}
 
-    def evaluate(self, s, u_l, u_r):
-        raise NotImplementedError
+    @classmethod
+    def for_system(cls, system, epsilon=0.0):
+        """The member used with ``system``, at shape parameter ``epsilon``."""
+        return cls()
 
-    def tangent(self, s, u_l, u_r):
-        raise NotImplementedError
-
-    def closed_form_integral(self, system, u_l, u_r):
-        """Closed form of int A(Phi) Phi_s ds, or None if unavailable."""
-        return None
+    def coupling(self, system, u_l, u_r):
+        """Path averages of the system's nonconservative coefficients, batched."""
+        fn = self.couplings.get(system.name)
+        if fn is None:
+            raise PathConstructionError(f"{self!r} is not defined for {system.name}")
+        return fn(self, system, np.asarray(u_l, dtype=float),
+                  np.asarray(u_r, dtype=float))
 
     def __repr__(self):
         eps = "" if self.epsilon is None else f"(epsilon={self.epsilon})"
@@ -61,10 +72,30 @@ def _sdim(s, u):
     return s[..., None], s.shape
 
 
+def _mean(u_l, u_r, k):
+    return 0.5 * (u_l[..., k] + u_r[..., k])
+
+
+def _segment_qh(path, system, u_l, u_r):
+    """Mean of q(s) h(s) along the segment (quadratic in s)."""
+    h_l, q_l = u_l[..., 0], u_l[..., 1]
+    dh, dq = u_r[..., 0] - h_l, u_r[..., 1] - q_l
+    return q_l * h_l + 0.5 * (q_l * dh + h_l * dq) + dq * dh / 3.0
+
+
 class SegmentsPath(PathFamily):
     """Straight segments Phi = u_l + s (u_r - u_l); works for every system."""
 
     name = "segments"
+    couplings = {
+        SimplifiedSystem.name: _segment_qh,
+        ShallowWaterSystem.name: lambda path, system, u_l, u_r: (
+            -system.g * _mean(u_l, u_r, 0)
+        ),
+        TwoLayerSystem.name: lambda path, system, u_l, u_r: (
+            _mean(u_l, u_r, 0), _mean(u_l, u_r, 2)
+        ),
+    }
 
     def evaluate(self, s, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
@@ -81,47 +112,7 @@ class SegmentsPath(PathFamily):
     def closed_form_integral(self, system, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
-        d = u_r - u_l
-        if isinstance(system, SimplifiedSystem):
-            h_l, q_l = u_l[..., 0], u_l[..., 1]
-            h_r, q_r = u_r[..., 0], u_r[..., 1]
-            dh, dq = d[..., 0], d[..., 1]
-            # mean of q(s) h(s) along the segment (quadratic in s)
-            qh_mean = q_l * h_l + 0.5 * (q_l * dh + h_l * dq) + dq * dh / 3.0
-            out = np.empty_like(u_l)
-            out[..., 0] = dq
-            out[..., 1] = q_r**2 / h_r - q_l**2 / h_l + qh_mean * dh
-            return out
-        if isinstance(system, ShallowWaterSystem):
-            hbar = 0.5 * (u_l[..., 0] + u_r[..., 0])
-            F = system.flux(u_r) - system.flux(u_l)
-            out = np.zeros_like(u_l)
-            out[..., 0] = F[..., 0]
-            out[..., 1] = F[..., 1] - system.g * hbar * d[..., 2]
-            return out
-        if isinstance(system, TwoLayerSystem):
-            return _two_layer_integral(system, u_l, u_r, 0.5 * (u_l[..., 0] + u_r[..., 0]),
-                                       0.5 * (u_l[..., 2] + u_r[..., 2]))
-        return None
-
-
-def _two_layer_integral(system, u_l, u_r, c1_coeff, c2_coeff):
-    """Two-layer path integral given the coupling coefficients.
-
-    The per-layer parts are exact flux differences (they do not depend on
-    the path); the coupling terms are g * c1_coeff * dh2 and
-    r * g * c2_coeff * dh1 where the coefficients encode
-    int Phi_h1 dPhi_h2 and int Phi_h2 dPhi_h1.
-    """
-    F = system.conservative_flux(u_r) - system.conservative_flux(u_l)
-    dh1 = u_r[..., 0] - u_l[..., 0]
-    dh2 = u_r[..., 2] - u_l[..., 2]
-    out = np.empty_like(np.asarray(u_l, dtype=float))
-    out[..., 0] = F[..., 0]
-    out[..., 1] = F[..., 1] + system.g * c1_coeff * dh2
-    out[..., 2] = F[..., 2]
-    out[..., 3] = F[..., 3] + system.r * system.g * c2_coeff * dh1
-    return out
+        return system.jump_integral(u_l, u_r, self.coupling(system, u_l, u_r))
 
 
 class TwoSegmentPath(PathFamily):
@@ -136,6 +127,12 @@ class TwoSegmentPath(PathFamily):
 
     name = "two_segment"
     breakpoints = (0.0, 0.5, 1.0)
+    couplings = {
+        # q = q_l along the only leg where h moves
+        SimplifiedSystem.name: lambda path, system, u_l, u_r: (
+            u_l[..., 1] * _mean(u_l, u_r, 0)
+        ),
+    }
 
     def evaluate(self, s, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
@@ -156,8 +153,8 @@ class TwoSegmentPath(PathFamily):
         return np.stack([th, tq], axis=-1)
 
     def closed_form_integral(self, system, u_l, u_r):
-        if not isinstance(system, SimplifiedSystem):
-            return None
+        # q_l [h^2/2] equals the coupling q_l hbar times [h] but rounds
+        # differently; this form is the one the reference results use
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
         h_l, q_l = u_l[..., 0], u_l[..., 1]
@@ -197,6 +194,15 @@ class SkewedSegmentsPath(PathFamily):
     """
 
     name = "skewed_segments"
+    couplings = {
+        TwoLayerSystem.name: lambda path, system, u_l, u_r: path.coupling_coefficients(
+            u_l[..., 0], u_r[..., 0], u_l[..., 2], u_r[..., 2]
+        ),
+    }
+
+    @classmethod
+    def for_system(cls, system, epsilon=0.0):
+        return cls(epsilon)
 
     def __init__(self, epsilon=0.0):
         if epsilon < 0:
@@ -256,14 +262,9 @@ class SkewedSegmentsPath(PathFamily):
         return c1, c2
 
     def closed_form_integral(self, system, u_l, u_r):
-        if not isinstance(system, TwoLayerSystem):
-            return None
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
-        c1, c2 = self.coupling_coefficients(
-            u_l[..., 0], u_r[..., 0], u_l[..., 2], u_r[..., 2]
-        )
-        return _two_layer_integral(system, u_l, u_r, c1, c2)
+        return system.jump_integral(u_l, u_r, self.coupling(system, u_l, u_r))
 
 
 @lru_cache(maxsize=4096)
@@ -347,6 +348,10 @@ class EquilibriumPath(PathFamily):
     breakpoints = (0.0, 0.5, 1.0)
     follows_equilibria = True
 
+    @classmethod
+    def for_system(cls, system, epsilon=0.0):
+        return cls(system.g)
+
     def __init__(self, g=9.81):
         self.g = float(g)
 
@@ -389,9 +394,25 @@ class EquilibriumPath(PathFamily):
         tsig = np.where(s <= 0.5, dsig1, 0.0)
         return np.stack([th, tq, tsig], axis=-1)
 
+    def _minus_gh(self, system, u_l, u_r):
+        """(F2(w_l) - F2(w_star)) / [sigma], the factor that makes the jump
+        identity hold; -g hbar where sigma is continuous, its limit."""
+        out = np.empty(u_l.shape[:-1]).reshape(-1)
+        for i, (wl, wr) in enumerate(zip(u_l.reshape(-1, 3), u_r.reshape(-1, 3))):
+            dsig = wr[2] - wl[2]
+            if abs(dsig) < 1e-10 * max(1.0, abs(wl[2]), abs(wr[2])):
+                out[i] = -system.g * 0.5 * (wl[0] + wr[0])
+                continue
+            f2 = system.flux(np.stack([wl, self.intermediate_state(wl, wr)]))[:, 1]
+            out[i] = (f2[0] - f2[1]) / dsig
+        return out.reshape(u_l.shape[:-1])
+
+    couplings = {ShallowWaterSystem.name: _minus_gh}
+
     def closed_form_integral(self, system, u_l, u_r):
-        if not isinstance(system, ShallowWaterSystem):
-            return None
+        # F2(w_r) - F2(w_star) equals [F2] plus the coupling times [sigma]
+        # but rounds differently; this form is the one the reference
+        # results use
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
         if u_l.ndim == 1:
@@ -408,21 +429,19 @@ class EquilibriumPath(PathFamily):
 def path_integral(path, system, u_l, u_r, method="auto", atol=1e-12, rtol=1e-10):
     """int_0^1 A(Phi(s; u_l, u_r)) dPhi/ds ds for a single pair of states.
 
-    ``method`` is "auto" (closed form when available), "closed" (fail if
-    none) or "quadrature".  Components of A that are exact derivatives
-    integrate to flux differences no matter the path; this is what the
-    closed forms exploit.
+    ``method`` is "auto" (closed form when the pair is declared), "closed"
+    (fail if it is not) or "quadrature".  Components of A that are exact
+    derivatives integrate to flux differences no matter the path; this is
+    what the closed forms exploit.
     """
     u_l = np.asarray(u_l, dtype=float)
     u_r = np.asarray(u_r, dtype=float)
-    if method in ("auto", "closed"):
-        closed = path.closed_form_integral(system, u_l, u_r)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise PathConstructionError(
-                f"no closed-form integral for {path!r} on {system.name}"
-            )
+    if method in ("auto", "closed") and system.name in path.couplings:
+        return path.closed_form_integral(system, u_l, u_r)
+    if method == "closed":
+        raise PathConstructionError(
+            f"no closed-form integral for {path!r} on {system.name}"
+        )
     if np.allclose(u_l, u_r, rtol=0.0, atol=0.0):
         return np.zeros_like(u_l)
 
@@ -439,16 +458,7 @@ def path_integral(path, system, u_l, u_r, method="auto", atol=1e-12, rtol=1e-10)
     return total
 
 
-def path_from_id(path_id, system=None, epsilon=0.0, g=9.81):
-    """Factory used by the experiment layer."""
-    if path_id == "segments":
-        return SegmentsPath()
-    if path_id == "two_segment":
-        return TwoSegmentPath()
-    if path_id == "skewed_segments":
-        return SkewedSegmentsPath(epsilon=epsilon)
-    if path_id == "equilibrium":
-        if isinstance(system, ShallowWaterSystem):
-            g = system.g
-        return EquilibriumPath(g=g)
-    raise DomainError(f"unknown path id {path_id!r}")
+PATHS = {
+    cls.name: cls
+    for cls in (SegmentsPath, TwoSegmentPath, SkewedSegmentsPath, EquilibriumPath)
+}

@@ -36,6 +36,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CurveRangeError, RiemannSolutionError
+from .paths import PathFamily
 
 _TRIV_TOL = 1e-13  # relative scale below which a wave counts as null
 
@@ -421,15 +422,15 @@ def fan_split_integrals(fan):
     return minus, plus
 
 
-class FanPath:
+class FanPath(PathFamily):
     """Path following the wave arcs of a fan (shocks via the two-segment path,
     rarefactions along integral curves).  Built for one fixed pair of states;
-    used to cross-check fan integrals by generic quadrature."""
+    used to cross-check fan integrals by generic quadrature, so it declares
+    no couplings."""
+
+    name = "fan"
 
     def __init__(self, fan):
-        from .paths import TwoSegmentPath
-
-        self._two_segment = TwoSegmentPath()
         legs = []
         for w in fan.waves:
             if w.kind == "null":
@@ -445,7 +446,6 @@ class FanPath:
         self._legs = legs
         self.breakpoints = tuple(np.linspace(0.0, 1.0, len(legs) + 1))
         self.fan = fan
-        self.name = "fan"
 
     def _leg_eval(self, leg, t):
         kind, a, b = leg
@@ -464,17 +464,22 @@ class FanPath:
             psi = psi_anchor + (h - anchor[0]) / 2.0
         return np.stack([h, h * psi * psi], axis=-1)
 
-    def evaluate(self, s, u_l, u_r):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty(s.shape + (2,))
+    def _by_leg(self, s, leg_fn, scale):
+        """``leg_fn`` times ``scale`` on each leg's share of s, mapped to the
+        leg's own parameter t in [0, 1]."""
+        s = np.asarray(s, dtype=float)
+        flat = np.atleast_1d(s)
+        out = np.empty(flat.shape + (2,))
         nlegs = len(self._legs)
-        idx = np.minimum((s * nlegs).astype(int), nlegs - 1)
+        idx = np.minimum((flat * nlegs).astype(int), nlegs - 1)
         for i, leg in enumerate(self._legs):
             m = idx == i
             if np.any(m):
-                t = s[m] * nlegs - i
-                out[m] = self._leg_eval(leg, t)
-        return out if np.asarray(s).ndim else out[0]
+                out[m] = leg_fn(leg, flat[m] * nlegs - i) * scale
+        return out if s.ndim else out[0]
+
+    def evaluate(self, s, u_l, u_r):
+        return self._by_leg(s, self._leg_eval, 1.0)
 
     def _leg_tangent(self, leg, t):
         kind, a, b = leg
@@ -497,16 +502,4 @@ class FanPath:
         return np.stack([dh, lam * dh], axis=-1)
 
     def tangent(self, s, u_l, u_r):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty(s.shape + (2,))
-        nlegs = len(self._legs)
-        idx = np.minimum((s * nlegs).astype(int), nlegs - 1)
-        for i, leg in enumerate(self._legs):
-            m = idx == i
-            if np.any(m):
-                t = s[m] * nlegs - i
-                out[m] = self._leg_tangent(leg, t) * nlegs
-        return out if np.asarray(s).ndim else out[0]
-
-    def closed_form_integral(self, system, u_l, u_r):
-        return None
+        return self._by_leg(s, self._leg_tangent, len(self._legs))

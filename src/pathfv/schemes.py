@@ -23,6 +23,10 @@ interface terms sum to the path integral of A.  Realizations:
   Riemann solutions (no fluctuation form; conservation holds only
   statistically).
 
+Each scheme class declares its config id (``name``), ``max_cfl`` and the
+``systems`` it supports; the constructor refuses other systems and paths
+without a coupling for the system.  ``SCHEMES`` maps ids to classes.
+
 Fluctuation functions are vectorized over a leading interface axis.
 """
 
@@ -39,13 +43,14 @@ from .errors import (
     HyperbolicityLossError,
     RoeConstructionError,
 )
-from .paths import SegmentsPath, SkewedSegmentsPath, TwoSegmentPath, path_integral
+from .paths import TwoSegmentPath
 from .riemann import fan_split_integrals, solve_riemann
+from .riemann import sample as fan_sample
 from .systems import (
+    DISTINCTNESS_RTOL,
+    SYSTEMS,
     ShallowWaterSystem,
     SimplifiedSystem,
-    TwoLayerSystem,
-    solve_characteristic_quartic,
 )
 
 log = logging.getLogger(__name__)
@@ -184,97 +189,18 @@ def _admissible_speed(system, states, n):
 # Roe linearizations
 
 
-def _roe_velocity(h_l, u_l, h_r, u_r):
-    sl, sr = np.sqrt(h_l), np.sqrt(h_r)
-    return (sl * u_l + sr * u_r) / (sl + sr)
-
-
 def _roe_eigendata(system, path, UL, UR):
     """Sorted eigenvalues and eigenvector matrices of the Roe matrix, batched.
 
-    Returns (lam, K, integral) where ``integral`` is the closed-form path
-    integral used for the property-3 safety check.
+    The system builds them from the path's coupling.  Returns
+    (lam, K, integral) where ``integral`` is the closed-form path integral
+    used for the property-3 safety check.
     """
     UL = np.asarray(UL, dtype=float)
     UR = np.asarray(UR, dtype=float)
-    if isinstance(system, SimplifiedSystem):
-        if not isinstance(path, TwoSegmentPath):
-            raise RoeConstructionError(
-                "no Roe linearization for the simplified system with this path"
-            )
-        h_l, q_l = UL[..., 0], UL[..., 1]
-        h_r, q_r = UR[..., 0], UR[..., 1]
-        if np.any(h_l <= 0) or np.any(h_r <= 0):
-            raise DomainError("Roe average requires positive thickness")
-        u = _roe_velocity(h_l, q_l / h_l, h_r, q_r / h_r)
-        hbar = 0.5 * (h_l + h_r)
-        rad = q_l * hbar
-        if np.any(rad <= 0):
-            raise RoeConstructionError("Roe matrix loses real eigenvalues (q_l <= 0)")
-        s = np.sqrt(rad)
-        lam = np.stack([u - s, u + s], axis=-1)
-        K = np.zeros(lam.shape + (2,))
-        K[..., 0, :] = 1.0
-        K[..., 1, :] = lam
-    elif isinstance(system, ShallowWaterSystem):
-        h_l, q_l = UL[..., 0], UL[..., 1]
-        h_r, q_r = UR[..., 0], UR[..., 1]
-        if np.any(h_l <= 0) or np.any(h_r <= 0):
-            raise DomainError("Roe average requires positive thickness")
-        u = _roe_velocity(h_l, q_l / h_l, h_r, q_r / h_r)
-        hbar = 0.5 * (h_l + h_r)
-        cbar = np.sqrt(system.g * hbar)
-        a21 = system.g * hbar - u * u
-        ctop = _sw_topography_entry(system, path, UL, UR, hbar)
-        lam = np.stack([u - cbar, u + cbar, np.zeros_like(u)], axis=-1)
-        K = np.zeros(lam.shape + (3,))
-        K[..., 0, 0] = 1.0
-        K[..., 1, 0] = lam[..., 0]
-        K[..., 0, 1] = 1.0
-        K[..., 1, 1] = lam[..., 1]
-        K[..., 0, 2] = -ctop / a21
-        K[..., 2, 2] = 1.0
-        order = np.argsort(lam, axis=-1)
-        lam = np.take_along_axis(lam, order, axis=-1)
-        K = np.take_along_axis(K, order[..., None, :], axis=-1)
-    elif isinstance(system, TwoLayerSystem):
-        if isinstance(path, SkewedSegmentsPath):
-            c1, c2 = path.coupling_coefficients(
-                UL[..., 0], UR[..., 0], UL[..., 2], UR[..., 2]
-            )
-        elif isinstance(path, SegmentsPath):
-            c1 = 0.5 * (UL[..., 0] + UR[..., 0])
-            c2 = 0.5 * (UL[..., 2] + UR[..., 2])
-        else:
-            raise RoeConstructionError(
-                "no Roe linearization for the two-layer system with this path"
-            )
-        h1l, q1l, h2l, q2l = (UL[..., i] for i in range(4))
-        h1r, q1r, h2r, q2r = (UR[..., i] for i in range(4))
-        if np.any(np.minimum(h1l, h2l) <= 0) or np.any(np.minimum(h1r, h2r) <= 0):
-            raise DomainError("Roe average requires positive thickness")
-        u1 = _roe_velocity(h1l, q1l / h1l, h1r, q1r / h1r)
-        u2 = _roe_velocity(h2l, q2l / h2l, h2r, q2r / h2r)
-        g = system.g
-        c1sq = g * 0.5 * (h1l + h1r)
-        c2sq = g * 0.5 * (h2l + h2r)
-        bcoup = g * c1
-        ccoup = system.r * g * c2
-        lam = solve_characteristic_quartic(u1, u2, c1sq, c2sq, bcoup * ccoup)
-        kappa = ((lam - u1[..., None]) ** 2 - c1sq[..., None]) / bcoup[..., None]
-        K = _rows_to_matrix(lam, kappa)
-    else:
-        raise RoeConstructionError(f"no Roe linearization for {system!r}")
-
+    lam, K = system.roe_eigensystem(UL, UR, path.coupling(system, UL, UR))
     _check_distinct(lam)
     integral = path.closed_form_integral(system, UL, UR)
-    if integral is None:
-        if UL.ndim == 1:
-            integral = path_integral(path, system, UL, UR)
-        else:
-            integral = np.stack(
-                [path_integral(path, system, a, b) for a, b in zip(UL, UR)]
-            )
     # property 3 safety net: K (lam . K^-1 du) must equal the path integral
     du = UR - UL
     coeff = np.linalg.solve(K, du[..., None])[..., 0]
@@ -288,49 +214,10 @@ def _roe_eigendata(system, path, UL, UR):
     return lam, K, integral
 
 
-def _rows_to_matrix(lam, kappa):
-    K = np.zeros(lam.shape + (4,))
-    K[..., 0, :] = 1.0
-    K[..., 1, :] = lam
-    K[..., 2, :] = kappa
-    K[..., 3, :] = lam * kappa
-    return K
-
-
-def _sw_topography_entry(system, path, UL, UR, hbar):
-    """Row-2 topography coefficient of the shallow-water Roe matrix.
-
-    Segments give -g hbar.  The equilibrium path gives
-    (F2(w_l) - F2(w_star)) / dsigma, the exact factor that makes the jump
-    identity hold; it tends to -g h as the states coincide.
-    """
-    from .paths import EquilibriumPath, _equilibrium_h_cached
-
-    g = system.g
-    if isinstance(path, SegmentsPath):
-        return -g * hbar
-    if isinstance(path, EquilibriumPath):
-        ULb = UL.reshape(-1, 3)
-        URb = UR.reshape(-1, 3)
-        out = np.empty(ULb.shape[0])
-        for i, (wl, wr) in enumerate(zip(ULb, URb)):
-            dsig = wr[2] - wl[2]
-            if abs(dsig) < 1e-10 * max(1.0, abs(wl[2]), abs(wr[2])):
-                out[i] = -g * 0.5 * (wl[0] + wr[0])
-                continue
-            hstar = _equilibrium_h_cached(float(wl[0]), float(wl[1]), float(dsig), g)
-            f2 = lambda h, q: q * q / h + 0.5 * g * h * h
-            out[i] = (f2(wl[0], wl[1]) - f2(hstar, wl[1])) / dsig
-        return out.reshape(UL.shape[:-1])
-    raise RoeConstructionError(
-        "no Roe linearization for shallow water with this path"
-    )
-
-
 def _check_distinct(lam):
     gaps = np.diff(lam, axis=-1).min(axis=-1)
     scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
-    if np.any(gaps < 1e-8 * scale):
+    if np.any(gaps < DISTINCTNESS_RTOL * scale):
         raise EigenDecompositionError(
             "Roe matrix eigenvalues are not distinct at some interface"
         )
@@ -346,57 +233,36 @@ def roe_matrix(system, path, u_l, u_r):
     return K @ np.diag(lam) @ np.linalg.inv(K)
 
 
-def roe_fluctuations(a_roe, u_l, u_r):
-    """Upwind split of a given linearization: M-+ = A-+ (u_r - u_l).
-
-    A-+ = K diag(lam-+) K^-1 built from a dense eigendecomposition of
-    ``a_roe``; requires distinct real eigenvalues and a well-conditioned
-    eigenvector matrix (condition number <= 1e12).
-    """
-    a_roe = np.asarray(a_roe, dtype=float)
-    lam, K = np.linalg.eig(a_roe)
-    if np.abs(lam.imag).max() > 1e-10 * max(1.0, np.abs(lam).max()):
-        raise EigenDecompositionError("linearization has complex eigenvalues")
-    lam = lam.real
-    K = K.real
-    order = np.argsort(lam)
-    lam, K = lam[order], K[:, order]
-    _check_distinct(lam)
-    if np.linalg.cond(K) > 1e12:
-        raise EigenDecompositionError("eigenvector matrix is ill-conditioned")
-    du = np.asarray(u_r, dtype=float) - np.asarray(u_l, dtype=float)
-    coeff = np.linalg.solve(K, du)
-    mm = K @ (np.minimum(lam, 0.0) * coeff)
-    mp = K @ (np.maximum(lam, 0.0) * coeff)
-    return mm, mp
-
-
 # ---------------------------------------------------------------------------
 # Scheme classes
 
 
-class FluctuationScheme:
-    """Base: subclasses provide vectorized ``fluctuations(UL, UR, dx, dt)``."""
+class Scheme:
+    """Base: each class declares ``name``, ``max_cfl`` and ``systems``.
+
+    Fluctuation schemes provide a vectorized ``fluctuations(UL, UR, dx, dt)``
+    and advance by ``step``.  ``seed`` offsets the sequence of a sampling
+    scheme; the others ignore it.
+    """
 
     max_cfl = 1.0
-    stencil = (1, 1)
+    systems = tuple(SYSTEMS)
 
-    def __init__(self, system, path):
+    def __init__(self, system, path, *, seed=0):
+        if system.name not in self.systems:
+            raise DomainError(
+                f"the {self.name} scheme is not implemented for {system.name}"
+            )
+        if system.name not in path.couplings:
+            raise DomainError(f"{path!r} is not defined for {system.name}")
         self.system = system
         self.path = path
-
-    @property
-    def name(self):
-        return type(self).__name__
-
-    def fluctuations(self, UL, UR, dx, dt):
-        raise NotImplementedError
 
     def advance(self, sol, dt, bc=None, lambda_max=None):
         return step(self, sol, dt, bc=bc, lambda_max=lambda_max)
 
 
-class RoeScheme(FluctuationScheme):
+class RoeScheme(Scheme):
     """Path-exact linearization with upwind splitting."""
 
     name = "roe"
@@ -417,35 +283,25 @@ class RoeScheme(FluctuationScheme):
         return mm, mp
 
 
-class LaxFriedrichsScheme(FluctuationScheme):
+class LaxFriedrichsScheme(Scheme):
     """M-+ = -+ dx/(2 dt) (u_r - u_l) + (1/2) int A(Phi) Phi_s ds.
 
-    The identity part is integrated exactly; only the A part needs the
-    path integral (closed form where available, quadrature otherwise).
+    The identity part is integrated exactly; the A part is the path's
+    closed form.
     """
 
     name = "lax_friedrichs"
-
-    def _integral(self, UL, UR):
-        I = self.path.closed_form_integral(self.system, UL, UR)
-        if I is not None:
-            return I
-        if UL.ndim == 1:
-            return path_integral(self.path, self.system, UL, UR)
-        return np.stack(
-            [path_integral(self.path, self.system, a, b) for a, b in zip(UL, UR)]
-        )
 
     def fluctuations(self, UL, UR, dx, dt):
         UL = np.asarray(UL, dtype=float)
         UR = np.asarray(UR, dtype=float)
         du = UR - UL
-        I = self._integral(UL, UR)
+        I = self.path.closed_form_integral(self.system, UL, UR)
         visc = (0.5 * dx / dt) * du
         return 0.5 * I - visc, 0.5 * I + visc
 
 
-class ModifiedLaxFriedrichsScheme(FluctuationScheme):
+class ModifiedLaxFriedrichsScheme(Scheme):
     """Lax-Friedrichs on a Roe linearization with the standing mode removed.
 
     M-+ = (1/2)(-+ (dx/dt) Ihat + A_roe) (u_r - u_l), where Ihat agrees with
@@ -455,13 +311,7 @@ class ModifiedLaxFriedrichsScheme(FluctuationScheme):
     """
 
     name = "modified_lax_friedrichs"
-
-    def __init__(self, system, path):
-        if not isinstance(system, ShallowWaterSystem):
-            raise DomainError(
-                "the modified Lax-Friedrichs scheme needs a balance-law system"
-            )
-        super().__init__(system, path)
+    systems = (ShallowWaterSystem.name,)  # a balance law with a frozen sigma
 
     def fluctuations(self, UL, UR, dx, dt):
         UL = np.asarray(UL, dtype=float)
@@ -482,7 +332,7 @@ class ModifiedLaxFriedrichsScheme(FluctuationScheme):
         return mm, mp
 
 
-class GodunovScheme(FluctuationScheme):
+class GodunovScheme(Scheme):
     """Exact-Riemann fluctuations for the 2x2 system (needs CFL <= 1/2).
 
     Mm collects the wave arcs with negative speed, Mp those with positive
@@ -492,10 +342,9 @@ class GodunovScheme(FluctuationScheme):
 
     name = "godunov"
     max_cfl = 0.5
+    systems = (SimplifiedSystem.name,)
 
-    def __init__(self, system, path=None):
-        if not isinstance(system, SimplifiedSystem):
-            raise DomainError("the Godunov scheme is implemented for the 2x2 system")
+    def __init__(self, system, path=None, *, seed=0):
         super().__init__(system, path or TwoSegmentPath())
 
     def fluctuations(self, UL, UR, dx, dt):
@@ -532,8 +381,7 @@ class VanDerCorputSampler:
         return theta
 
 
-def glimm_step(riemann_solver, sol, dt, sampler, bc=None, lambda_max=None,
-               system=None):
+def glimm_step(riemann_solver, sol, dt, sampler, bc=None, lambda_max=None):
     """Random-choice update: each cell takes one sampled exact Riemann value.
 
     The value of cell i is the exact solution at x_{i-1/2} + theta dx, which
@@ -556,8 +404,6 @@ def glimm_step(riemann_solver, sol, dt, sampler, bc=None, lambda_max=None,
         return fans[j]
 
     new = np.empty_like(sol.states)
-    from .riemann import sample as fan_sample
-
     for i in range(grid.m):
         if theta < 0.5:
             j = i  # left interface of cell i in extended indexing
@@ -574,17 +420,15 @@ def glimm_step(riemann_solver, sol, dt, sampler, bc=None, lambda_max=None,
     return Solution(grid, sol.t + dt, new, sol.n + 1)
 
 
-class GlimmScheme:
+class GlimmScheme(Scheme):
     """Driver-compatible wrapper around ``glimm_step``."""
 
     name = "glimm"
     max_cfl = 0.5
+    systems = (SimplifiedSystem.name,)
 
-    def __init__(self, system, seed=0):
-        if not isinstance(system, SimplifiedSystem):
-            raise DomainError("the Glimm scheme is implemented for the 2x2 system")
-        self.system = system
-        self.path = TwoSegmentPath()
+    def __init__(self, system, path=None, *, seed=0):
+        super().__init__(system, path or TwoSegmentPath())
         self.sampler = VanDerCorputSampler(offset=seed)
 
     def advance(self, sol, dt, bc=None, lambda_max=None):
@@ -628,16 +472,8 @@ def evolve(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):
     return snaps
 
 
-def scheme_from_id(scheme_id, system, path, seed=0):
-    """Factory used by the experiment layer."""
-    if scheme_id == "roe":
-        return RoeScheme(system, path)
-    if scheme_id == "lax_friedrichs":
-        return LaxFriedrichsScheme(system, path)
-    if scheme_id == "modified_lax_friedrichs":
-        return ModifiedLaxFriedrichsScheme(system, path)
-    if scheme_id == "godunov":
-        return GodunovScheme(system, path)
-    if scheme_id == "glimm":
-        return GlimmScheme(system, seed=seed)
-    raise DomainError(f"unknown scheme id {scheme_id!r}")
+SCHEMES = {
+    cls.name: cls
+    for cls in (RoeScheme, LaxFriedrichsScheme, ModifiedLaxFriedrichsScheme,
+                GodunovScheme, GlimmScheme)
+}

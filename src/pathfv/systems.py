@@ -33,13 +33,22 @@ Three quasilinear systems are provided:
     Internal eigenvalues turn complex when the interfacial shear is too
     large, and such states are rejected.
 
+Each system declares its config id (``name``) and ``components``.  Given
+a path's coupling (see ``paths``), ``jump_integral`` is the path integral
+of A and ``roe_eigensystem`` the eigenpairs of the Roe matrix.
+
 All state arrays have shape (..., N) and matrix evaluations broadcast over
 leading axes.  Instances are immutable and safe to share between workers.
 """
 
 import numpy as np
 
-from .errors import DomainError, EigenDecompositionError, HyperbolicityLossError
+from .errors import (
+    DomainError,
+    EigenDecompositionError,
+    HyperbolicityLossError,
+    RoeConstructionError,
+)
 
 # Relative gap under which eigenvalues count as coincident (Roe-type splits
 # need strictly distinct eigenvalues).
@@ -58,6 +67,16 @@ def _as_states(w, n):
 def _min_gap(lam):
     """Smallest gap between consecutive ascending eigenvalues, batched."""
     return np.diff(lam, axis=-1).min(axis=-1)
+
+
+def _roe_velocity(h_l, u_l, h_r, u_r):
+    sl, sr = np.sqrt(h_l), np.sqrt(h_r)
+    return (sl * u_l + sr * u_r) / (sl + sr)
+
+
+def _check_roe_thickness(*h):
+    if any(np.any(x <= 0) for x in h):
+        raise DomainError("Roe average requires positive thickness")
 
 
 def normalize_eigenvectors(K):
@@ -79,8 +98,8 @@ def normalize_eigenvectors(K):
 class SimplifiedSystem:
     """2x2 nonconservative model system, state w = (h, q)."""
 
-    n = 2
     name = "simplified"
+    components = ("h", "q")
     # Only the first equation is a conservation law (flux q).
     conservative_mask = np.array([True, False])
 
@@ -119,10 +138,31 @@ class SimplifiedSystem:
 
     def eigensystem(self, w):
         lam = self.eigenvalues(w)
-        K = np.zeros(lam.shape + (2,))
-        K[..., 0, :] = 1.0
-        K[..., 1, :] = lam
-        return lam, normalize_eigenvectors(K)
+        return lam, normalize_eigenvectors(_simplified_vectors(lam))
+
+    def roe_eigensystem(self, u_l, u_r, coupling):
+        """Eigenpairs of [[0, 1], [c - u^2, 2 u]]: u the Roe velocity, c the
+        path average of q h against h."""
+        h_l, q_l = u_l[..., 0], u_l[..., 1]
+        h_r, q_r = u_r[..., 0], u_r[..., 1]
+        _check_roe_thickness(h_l, h_r)
+        u = _roe_velocity(h_l, q_l / h_l, h_r, q_r / h_r)
+        if np.any(coupling <= 0):
+            raise RoeConstructionError(
+                "Roe matrix loses real eigenvalues (path average of q h <= 0)"
+            )
+        s = np.sqrt(coupling)
+        lam = np.stack([u - s, u + s], axis=-1)
+        return lam, _simplified_vectors(lam)
+
+    def jump_integral(self, u_l, u_r, coupling):
+        """([q], [q^2/h] + c [h]) for the path average c of q h against h."""
+        h_l, q_l = u_l[..., 0], u_l[..., 1]
+        h_r, q_r = u_r[..., 0], u_r[..., 1]
+        out = np.empty_like(u_l)
+        out[..., 0] = q_r - q_l
+        out[..., 1] = q_r**2 / h_r - q_l**2 / h_l + coupling * (h_r - h_l)
+        return out
 
     def max_abs_speed(self, w):
         return np.abs(self.eigenvalues(w)).max()
@@ -155,11 +195,34 @@ class SimplifiedSystem:
         return F
 
 
+def _simplified_vectors(lam):
+    """Eigenvector columns (1, lam) of the 2x2 model."""
+    K = np.zeros(lam.shape + (2,))
+    K[..., 0, :] = 1.0
+    K[..., 1, :] = lam
+    return K
+
+
+def _shallow_water_vectors(lam, k_standing):
+    """Eigenvector columns (1, lam, 0) of the moving fields and
+    (k_standing, 0, 1) of the standing one, sorted by eigenvalue with lam."""
+    K = np.zeros(lam.shape + (3,))
+    K[..., 0, 0] = 1.0
+    K[..., 1, 0] = lam[..., 0]
+    K[..., 0, 1] = 1.0
+    K[..., 1, 1] = lam[..., 1]
+    K[..., 0, 2] = k_standing
+    K[..., 2, 2] = 1.0
+    order = np.argsort(lam, axis=-1)
+    lam = np.take_along_axis(lam, order, axis=-1)
+    return lam, np.take_along_axis(K, order[..., None, :], axis=-1)
+
+
 class ShallowWaterSystem:
     """Shallow water over topography as a 3x3 system, W = (h, q, sigma)."""
 
-    n = 3
     name = "shallow_water"
+    components = ("h", "q", "sigma")
     conservative_mask = np.array([True, True, False])
 
     def __init__(self, g=9.81):
@@ -203,18 +266,31 @@ class ShallowWaterSystem:
         c = np.sqrt(self.g * h)
         gh = self.g * h
         lam = np.stack([u - c, u + c, np.zeros_like(u)], axis=-1)
-        K = np.zeros(w.shape[:-1] + (3, 3))
-        K[..., 0, 0] = 1.0
-        K[..., 1, 0] = lam[..., 0]
-        K[..., 0, 1] = 1.0
-        K[..., 1, 1] = lam[..., 1]
         # kernel vector of [[J, -S],[0,0]]: (g h/(g h - u^2), 0, 1)
-        K[..., 0, 2] = gh / (gh - u * u)
-        K[..., 2, 2] = 1.0
-        order = np.argsort(lam, axis=-1)
-        lam = np.take_along_axis(lam, order, axis=-1)
-        K = np.take_along_axis(K, order[..., None, :], axis=-1)
+        lam, K = _shallow_water_vectors(lam, gh / (gh - u * u))
         return lam, normalize_eigenvectors(K)
+
+    def roe_eigensystem(self, u_l, u_r, coupling):
+        """Eigenpairs of [[J, (0, c)^T], [0, 0]]: J the flux Jacobian at the
+        Roe velocity and hbar, c the path average of -g h against sigma."""
+        h_l, q_l = u_l[..., 0], u_l[..., 1]
+        h_r, q_r = u_r[..., 0], u_r[..., 1]
+        _check_roe_thickness(h_l, h_r)
+        u = _roe_velocity(h_l, q_l / h_l, h_r, q_r / h_r)
+        hbar = 0.5 * (h_l + h_r)
+        cbar = np.sqrt(self.g * hbar)
+        a21 = self.g * hbar - u * u
+        lam = np.stack([u - cbar, u + cbar, np.zeros_like(u)], axis=-1)
+        return _shallow_water_vectors(lam, -coupling / a21)
+
+    def jump_integral(self, u_l, u_r, coupling):
+        """([q], [q^2/h + g h^2/2] + c [sigma], 0) for the path average c of
+        -g h against sigma."""
+        F = self.flux(u_r) - self.flux(u_l)
+        out = np.zeros_like(u_l)
+        out[..., 0] = F[..., 0]
+        out[..., 1] = F[..., 1] + coupling * (u_r[..., 2] - u_l[..., 2])
+        return out
 
     def max_abs_speed(self, w):
         return np.abs(self.eigenvalues(w)).max()
@@ -240,11 +316,6 @@ class ShallowWaterSystem:
         if np.all(h > 0):
             speed = float(max(np.maximum(slow, fast).max(), 0.0))
         return ok, speed
-
-    def froude(self, w):
-        w = np.asarray(w, dtype=float)
-        h, q = w[..., 0], w[..., 1]
-        return np.abs(q / h) / np.sqrt(self.g * h)
 
     def conservative_flux(self, w):
         w = _as_states(w, 3)
@@ -358,8 +429,8 @@ def solve_characteristic_quartic(u1, u2, a1, a2, k, imag_rtol=COMPLEX_RTOL):
 class TwoLayerSystem:
     """Two-layer shallow water over a flat bottom, w = (h1, q1, h2, q2)."""
 
-    n = 4
     name = "two_layer"
+    components = ("h1", "q1", "h2", "q2")
     conservative_mask = np.array([True, False, True, False])
 
     def __init__(self, g=9.81, r=0.95):
@@ -414,12 +485,40 @@ class TwoLayerSystem:
                 "two-layer eigenvalues are not distinct at this state"
             )
         kappa = ((lam - u1[..., None]) ** 2 - c1sq[..., None]) / c1sq[..., None]
-        K = np.zeros(lam.shape + (4,))  # (..., 4 rows, 4 columns)
-        K[..., 0, :] = 1.0
-        K[..., 1, :] = lam
-        K[..., 2, :] = kappa
-        K[..., 3, :] = lam * kappa
-        return lam, normalize_eigenvectors(K)
+        return lam, normalize_eigenvectors(_two_layer_vectors(lam, kappa))
+
+    def roe_eigensystem(self, u_l, u_r, coupling):
+        """Eigenpairs of A with Roe-averaged layer speeds and the path
+        averages (c1, c2) of h1 against h2 and h2 against h1 in its coupling
+        entries g h1 and r g h2."""
+        h1l, q1l, h2l, q2l = (u_l[..., i] for i in range(4))
+        h1r, q1r, h2r, q2r = (u_r[..., i] for i in range(4))
+        _check_roe_thickness(h1l, h2l, h1r, h2r)
+        u1 = _roe_velocity(h1l, q1l / h1l, h1r, q1r / h1r)
+        u2 = _roe_velocity(h2l, q2l / h2l, h2r, q2r / h2r)
+        c1, c2 = coupling
+        g = self.g
+        c1sq = g * 0.5 * (h1l + h1r)
+        c2sq = g * 0.5 * (h2l + h2r)
+        bcoup = g * c1
+        ccoup = self.r * g * c2
+        lam = solve_characteristic_quartic(u1, u2, c1sq, c2sq, bcoup * ccoup)
+        kappa = ((lam - u1[..., None]) ** 2 - c1sq[..., None]) / bcoup[..., None]
+        return lam, _two_layer_vectors(lam, kappa)
+
+    def jump_integral(self, u_l, u_r, coupling):
+        """Flux differences plus the coupling terms g c1 [h2] and r g c2 [h1]
+        for the path averages (c1, c2) of h1 against h2 and h2 against h1."""
+        c1, c2 = coupling
+        F = self.conservative_flux(u_r) - self.conservative_flux(u_l)
+        dh1 = u_r[..., 0] - u_l[..., 0]
+        dh2 = u_r[..., 2] - u_l[..., 2]
+        out = np.empty_like(u_l)
+        out[..., 0] = F[..., 0]
+        out[..., 1] = F[..., 1] + self.g * c1 * dh2
+        out[..., 2] = F[..., 2]
+        out[..., 3] = F[..., 3] + self.r * self.g * c2 * dh1
+        return out
 
     def max_abs_speed(self, w):
         return np.abs(self.eigenvalues(w)).max()
@@ -431,8 +530,6 @@ class TwoLayerSystem:
         This is an a-priori indicator only; the eigenvalue solver is the
         actual decision rule.
         """
-        if self.r >= 1.0:
-            raise DomainError("indicator undefined for r = 1 (zero reduced gravity)")
         h1, q1, h2, q2 = self._split(w)
         u1, u2 = q1 / h1, q2 / h2
         gprime = (1.0 - self.r) * self.g
@@ -476,12 +573,16 @@ class TwoLayerSystem:
         return F
 
 
-def system_from_id(system_id, **kwargs):
-    """Factory used by the experiment layer."""
-    if system_id == "simplified":
-        return SimplifiedSystem()
-    if system_id == "shallow_water":
-        return ShallowWaterSystem(g=kwargs.get("g", 9.81))
-    if system_id == "two_layer":
-        return TwoLayerSystem(g=kwargs.get("g", 9.81), r=kwargs.get("r", 0.95))
-    raise DomainError(f"unknown system id {system_id!r}")
+def _two_layer_vectors(lam, kappa):
+    """Eigenvector columns (1, lam, kappa, lam kappa) of the two-layer system."""
+    K = np.zeros(lam.shape + (4,))  # C order: einsum's rounding follows layout
+    K[..., 0, :] = 1.0
+    K[..., 1, :] = lam
+    K[..., 2, :] = kappa
+    K[..., 3, :] = lam * kappa
+    return K
+
+
+SYSTEMS = {
+    cls.name: cls for cls in (SimplifiedSystem, ShallowWaterSystem, TwoLayerSystem)
+}

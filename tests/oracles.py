@@ -45,6 +45,30 @@ def lf_single_interface_update(u_lm, u_m, u_rp, system, path, dt_over_dx):
     return 0.5 * (u_lm + u_rp) - 0.5 * dt_over_dx * I
 
 
+def roe_fluctuations(a_roe, u_l, u_r):
+    """Upwind split of a given linearization: M-+ = A-+ (u_r - u_l).
+
+    A-+ = K diag(lam-+) K^-1 built from a dense eigendecomposition of
+    ``a_roe``; requires distinct real eigenvalues and a well-conditioned
+    eigenvector matrix (condition number <= 1e12).
+    """
+    a_roe = np.asarray(a_roe, dtype=float)
+    lam, K = np.linalg.eig(a_roe)
+    if np.abs(lam.imag).max() > 1e-10 * max(1.0, np.abs(lam).max()):
+        raise ValueError("linearization has complex eigenvalues")
+    order = np.argsort(lam.real)
+    lam, K = lam.real[order], K.real[:, order]
+    if np.diff(lam).min() < 1e-8 * max(np.abs(lam).max(), 1e-300):
+        raise ValueError("eigenvalues are not distinct")
+    if np.linalg.cond(K) > 1e12:
+        raise ValueError("eigenvector matrix is ill-conditioned")
+    du = np.asarray(u_r, dtype=float) - np.asarray(u_l, dtype=float)
+    coeff = np.linalg.solve(K, du)
+    mm = K @ (np.minimum(lam, 0.0) * coeff)
+    mp = K @ (np.maximum(lam, 0.0) * coeff)
+    return mm, mp
+
+
 def quasilinear_momentum_row(w, flux, noncons_coeff, step=1e-7):
     """Row of A for an equation  q_t + flux(w)_x + noncons_coeff(w) h_x = 0.
 

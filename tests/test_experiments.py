@@ -7,12 +7,16 @@ import pytest
 from pathfv import ConfigError
 from pathfv.cli import main
 from pathfv.experiments import (
+    SCHEMA,
     builtin_names,
     load_config,
     run,
     sweep_hugoniot,
     validate_config,
 )
+from pathfv.paths import PATHS
+from pathfv.schemes import SCHEMES
+from pathfv.systems import SYSTEMS
 
 Q_R = 0.530039370688997
 
@@ -95,6 +99,28 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    def test_scheme_must_support_the_system(self):
+        cfg = tiny_run_config(scheme={"id": "modified_lax_friedrichs"},
+                              system={"id": "two_layer"}, path={"id": "segments"})
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == "scheme/id"
+
+    def test_path_must_be_defined_for_the_system(self):
+        cfg = tiny_run_config(system={"id": "shallow_water"})
+        assert cfg["path"]["id"] == "two_segment"
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == "path/id"
+
+    def test_schema_enums_are_the_registries(self):
+        props = SCHEMA["properties"]
+        for section, registry in (("system", SYSTEMS), ("path", PATHS),
+                                  ("scheme", SCHEMES)):
+            assert props[section]["properties"]["id"]["enum"] == list(registry)
+            for key, cls in registry.items():
+                assert cls.name == key
+
     def test_sweep_targets_exclusive(self):
         cfg = tiny_sweep_config()
         cfg["sweep"]["xi_targets"] = [-0.2]
@@ -174,6 +200,19 @@ class TestSweep:
         exact = (out / "exact_curve.csv").read_text().splitlines()
         assert exact[0].startswith("xi,h,q")
 
+    def test_single_point_curves_still_get_a_report(self, tmp_path):
+        # one target per mesh: every measured curve has a single point, so
+        # no pair of curves shares a speed range
+        cfg = tiny_sweep_config()
+        cfg["sweep"]["component_targets"]["values"] = [1.5]
+        out = sweep_hugoniot(cfg, tmp_path)
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == []
+        d = report["distances"]
+        assert set(d) == {"to_exact", "mesh_to_mesh", "epsilon_pairs"}
+        assert [e["distance"] for e in d["to_exact"]] == [None, None]
+        assert [e["distance"] for e in d["mesh_to_mesh"]] == [None]
+
     def test_run_verb_rejects_sweep_only_config(self, tmp_path):
         with pytest.raises(ConfigError):
             run(tiny_sweep_config(), tmp_path)
@@ -192,6 +231,16 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(tiny_run_config(cfl=2.0)))
         assert main(["validate", str(bad)]) == 1
+
+    def test_validate_undeclared_combinations(self, tmp_path):
+        for overrides in (
+            {"scheme": {"id": "modified_lax_friedrichs"},
+             "system": {"id": "two_layer"}, "path": {"id": "segments"}},
+            {"system": {"id": "shallow_water"}},
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(tiny_run_config(**overrides)))
+            assert main(["validate", str(bad)]) == 1
 
     def test_run_and_exit_codes(self, tmp_path):
         cfgfile = tmp_path / "c.json"

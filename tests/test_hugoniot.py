@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pathfv.hugoniot import _newton_free_state
 from pathfv import (
     EquilibriumPath,
     FrontExtractionError,
@@ -32,6 +33,36 @@ WR_INT = np.array(
 
 SIMPLE = SimplifiedSystem()
 TWO_SEG = TwoSegmentPath()
+
+
+def _break_closed_form_after(monkeypatch, ncalls):
+    """Make the two-segment closed form raise TypeError after ``ncalls``."""
+    real = TwoSegmentPath.closed_form_integral
+    calls = []
+
+    def broken(self, system, u_l, u_r):
+        calls.append(1)
+        if len(calls) > ncalls:
+            raise TypeError("broken closed form")
+        return real(self, system, u_l, u_r)
+
+    monkeypatch.setattr(TwoSegmentPath, "closed_form_integral", broken)
+
+
+class TestLineSearchLetsBugsThrough:
+    # one residual at the seed and 2 n for the Jacobian: the next call is
+    # the first trial step of the line search
+    def test_newton_free_state(self, monkeypatch):
+        _break_closed_form_after(monkeypatch, 5)
+        with pytest.raises(TypeError):
+            _newton_free_state(SIMPLE, TWO_SEG, np.array([1.0, 1.0]), "left",
+                               XI_SHOCK, np.array([1.7, 0.6]))
+
+    def test_solve_rh_at(self, monkeypatch):
+        _break_closed_form_after(monkeypatch, 5)
+        with pytest.raises(TypeError):
+            solve_rh_at(SIMPLE, TWO_SEG, np.array([1.0, 1.0]), "left", 0, 1.8,
+                        np.array([1.7, 0.6]), -0.5)
 
 
 class TestTraceExact:

@@ -12,6 +12,8 @@ from pathfv import (
     TwoSegmentPath,
     path_integral,
 )
+from pathfv.paths import PATHS
+from pathfv.systems import SYSTEMS
 from conftest import (
     random_shallow_water_states,
     random_simplified_states,
@@ -21,24 +23,40 @@ from oracles import dense_path_integral
 
 G = 9.81
 Q_R = 0.530039370688997
+RANDOM_STATES = {
+    SimplifiedSystem.name: random_simplified_states,
+    ShallowWaterSystem.name: random_shallow_water_states,
+    TwoLayerSystem.name: random_two_layer_states,
+}
+
+
+def declared_pairs():
+    """(family class, system) for every pair a family declares a coupling for."""
+    return [(cls, SYSTEMS[name]()) for cls in PATHS.values() for name in cls.couplings]
 
 
 def _family_cases(rng, n):
     return [
-        (SegmentsPath(), SimplifiedSystem(), random_simplified_states(rng, n)),
-        (TwoSegmentPath(), SimplifiedSystem(), random_simplified_states(rng, n)),
-        (SegmentsPath(), TwoLayerSystem(G, 0.95), random_two_layer_states(rng, n)),
-        (
-            SkewedSegmentsPath(0.03),
-            TwoLayerSystem(G, 0.95),
-            random_two_layer_states(rng, n),
-        ),
-        (
-            EquilibriumPath(G),
-            ShallowWaterSystem(G),
-            random_shallow_water_states(rng, n),
-        ),
+        (cls.for_system(system, 0.03), system, RANDOM_STATES[system.name](rng, n))
+        for cls, system in declared_pairs()
     ]
+
+
+def test_declared_pairs_name_known_systems():
+    for cls in PATHS.values():
+        assert cls.couplings and set(cls.couplings) <= set(SYSTEMS), cls.name
+    pairs = {(cls.name, system.name) for cls, system in declared_pairs()}
+    assert (SegmentsPath.name, ShallowWaterSystem.name) in pairs
+    assert (TwoSegmentPath.name, ShallowWaterSystem.name) not in pairs
+
+
+def test_undeclared_pair_has_no_closed_form():
+    a = np.array([1.0, 0.5, 0.0])
+    b = np.array([1.2, 0.4, 0.1])
+    with pytest.raises(PathConstructionError):
+        path_integral(TwoSegmentPath(), ShallowWaterSystem(G), a, b, method="closed")
+    with pytest.raises(PathConstructionError):
+        TwoSegmentPath().coupling(ShallowWaterSystem(G), a, b)
 
 
 def test_endpoint_conditions(rng):

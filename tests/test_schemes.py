@@ -26,7 +26,6 @@ from pathfv import (
     evolve,
     glimm_step,
     path_integral,
-    roe_fluctuations,
     roe_matrix,
     solve_riemann,
     step,
@@ -36,7 +35,9 @@ from conftest import (
     random_simplified_states,
     random_two_layer_states,
 )
-from oracles import lf_single_interface_update
+from pathfv.paths import PATHS
+from pathfv.systems import SYSTEMS
+from oracles import lf_single_interface_update, roe_fluctuations
 
 G = 9.81
 Q_R = 0.530039370688997
@@ -280,10 +281,45 @@ class TestRoe:
         assert np.abs(mm2 - mm_ref).max() < 1e-12
 
 
+RANDOM_STATES = {
+    SimplifiedSystem.name: random_simplified_states,
+    ShallowWaterSystem.name: random_shallow_water_states,
+    TwoLayerSystem.name: random_two_layer_states,
+}
+
+
+@pytest.mark.parametrize(
+    "family, system_name",
+    [(cls, name) for cls in PATHS.values() for name in cls.couplings],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_roe_jump_identity_for_every_declared_pair(family, system_name, rng):
+    system = SYSTEMS[system_name]()
+    path = family.for_system(system, 0.04)
+    RoeScheme(system, path)  # every declared pair has a Roe scheme
+    W = RANDOM_STATES[system_name](rng, 40)
+    W = W[system.is_admissible(W)][:20]
+    # nearby right states keep sigma jumps within reach of equilibrium paths
+    W_r = W * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=W.shape))
+    for a, b in zip(W, W_r):
+        A = roe_matrix(system, path, a, b)
+        I = path_integral(path, system, a, b)
+        assert np.abs(A @ (b - a) - I).max() < 1e-9
+
+
+def test_undeclared_pair_is_refused():
+    with pytest.raises(DomainError):
+        RoeScheme(SW, TwoSegmentPath())
+    with pytest.raises(DomainError):
+        LaxFriedrichsScheme(SIMPLE, SkewedSegmentsPath(0.05))
+
+
 class TestModifiedLF:
     def test_needs_balance_law(self):
         with pytest.raises(DomainError):
             ModifiedLaxFriedrichsScheme(SIMPLE, TwoSegmentPath())
+        with pytest.raises(DomainError):
+            ModifiedLaxFriedrichsScheme(TWO, SegmentsPath())
 
     def test_sigma_bit_identical(self, rng):
         W = random_shallow_water_states(rng, 12)
@@ -440,7 +476,6 @@ def test_carried_speed_gives_identical_step_sequence(case):
 
 
 def test_two_layer_evolve_solves_each_state_once_per_step(monkeypatch):
-    import pathfv.schemes
     import pathfv.systems
 
     calls = []
@@ -450,8 +485,8 @@ def test_two_layer_evolve_solves_each_state_once_per_step(monkeypatch):
         calls.append(1)
         return quartic(*args, **kwargs)
 
+    # the Roe eigensystem and the admissibility pass both solve in systems
     monkeypatch.setattr(pathfv.systems, "solve_characteristic_quartic", counting)
-    monkeypatch.setattr(pathfv.schemes, "solve_characteristic_quartic", counting)
     scheme = RoeScheme(TWO, SegmentsPath())
     steps = []
     evolve(scheme, riemann_solution(*TWO_LAYER_PAIR), 0.2, 0.9, on_step=steps.append)
