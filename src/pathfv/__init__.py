@@ -52,7 +52,6 @@ from .schemes import (
     VanDerCorputSampler,
     cfl_dt,
     evolve,
-    glimm_step,
     roe_matrix,
     step,
 )

@@ -59,13 +59,9 @@ def main(argv=None):
             validate_config(load_config(args.config))
             print("ok")
             return 0
-        cfg = load_config(args.config)
-        validate_config(cfg)
-        if args.command == "run":
-            out = run(cfg, args.out, seed=args.seed, threads=args.threads)
-        else:
-            out = sweep_hugoniot(cfg, args.out, seed=args.seed, threads=args.threads)
-        print(out)
+        # each verb loads and validates the config itself
+        verb = run if args.command == "run" else sweep_hugoniot
+        print(verb(args.config, args.out, seed=args.seed, threads=args.threads))
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

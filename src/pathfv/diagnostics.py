@@ -182,8 +182,8 @@ def rh_residual(system, fit, path):
     integral = path_integral(path, system, fit.w_minus, fit.w_plus)
     noncons = float(np.abs(fit.xi * dw - integral).max())
     cons = None
-    mask = getattr(system, "conservative_mask", None)
-    if mask is not None and np.any(mask):
+    mask = system.conservative_mask
+    if np.any(mask):
         dF = system.conservative_flux(fit.w_plus) - system.conservative_flux(
             fit.w_minus
         )

@@ -34,10 +34,60 @@ from .hugoniot import (
     trace_exact,
 )
 from .hugoniot import curve_distance as _curve_distance
-from .hugoniot import _newton_free_state
+from .hugoniot import _newton_free_state, _ordered_pair
 from .paths import PATHS
 from .schemes import SCHEMES, DirichletBoundary, FreeBoundary, Grid, Solution, evolve
 from .systems import SYSTEMS
+
+
+# ---------------------------------------------------------------------------
+# Initial conditions and boundaries, keyed by config id
+
+
+def _jump(x, x0, left, right):
+    """Riemann data: ``left`` in the cells with centre below x0, ``right`` beyond."""
+    return np.where(x[:, None] < x0, np.asarray(left, dtype=float),
+                    np.asarray(right, dtype=float))
+
+
+def _riemann(spec, system, x):
+    return _jump(x, spec.get("x0", 0.0), spec["left"], spec["right"])
+
+
+def _dam_break_over_bump(spec, system, x):
+    H = spec.get("base_depth", 1.0) - spec.get("bump_amplitude", 0.5) * np.exp(
+        -((x - spec.get("bump_center", 5.0)) ** 2)
+    )
+    h = np.where(x < spec.get("x_dam", 4.0), H + spec.get("surface_lift", 0.5), H)
+    return np.stack([h, np.zeros_like(h), H], axis=-1)
+
+
+def _stationary_contact(spec, system, x):
+    left = np.asarray(spec["left"], dtype=float)
+    right = stationary_contact_state(system, left, spec["sigma_right"])
+    return _jump(x, spec.get("x0", 0.0), left, right)
+
+
+def _still_water_over_step(spec, system, x):
+    sig = np.where(x < spec.get("x_step", 0.0), spec.get("sigma_left", 0.0),
+                   spec.get("sigma_right", 1.0))
+    h = spec.get("surface", 1.0) + sig
+    return np.stack([h, np.zeros_like(h), sig], axis=-1)
+
+
+# initial-condition id -> builder (spec, system, cell centres) -> states
+INITIALS = {
+    "riemann": _riemann,
+    "dam_break_over_bump": _dam_break_over_bump,
+    "stationary_contact": _stationary_contact,
+    "still_water_over_step": _still_water_over_step,
+}
+
+# boundary id -> builder (initial solution) -> boundary
+BOUNDARIES = {
+    "free": lambda sol0: FreeBoundary(),
+    "inflow_left": lambda sol0: DirichletBoundary(left=sol0.states[0]),
+}
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -92,11 +142,15 @@ SCHEMA = {
         },
         "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "t_end": _POS,
-        "initial": {"type": "object", "required": ["id"]},
+        "initial": {
+            "type": "object",
+            "required": ["id"],
+            "properties": {"id": {"enum": list(INITIALS)}},
+        },
         "boundary": {
             "type": "object",
             "required": ["id"],
-            "properties": {"id": {"enum": ["free", "inflow_left"]}},
+            "properties": {"id": {"enum": list(BOUNDARIES)}},
         },
         "output": {
             "type": "object",
@@ -214,7 +268,14 @@ def validate_config(cfg):
         where = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"{where}: {e.message}", field=where)
     system_id, path_id = cfg["system"]["id"], cfg["path"]["id"]
+    # a system takes the physical parameters its constructor names
+    params = inspect.signature(SYSTEMS[system_id]).parameters
+    for key in cfg["system"]:
+        if key != "id" and key not in params:
+            raise ConfigError(f"system/{key}: the {system_id} system takes no {key}",
+                              field=f"system/{key}")
     scheme = SCHEMES[cfg["scheme"]["id"]]
+    sweep = cfg.get("sweep")
     for ok, field, why in (
         (cfg["cfl"] <= scheme.max_cfl, "cfl",
          f"{scheme.name} requires cfl <= {scheme.max_cfl}"),
@@ -222,92 +283,36 @@ def validate_config(cfg):
          f"{scheme.name} is not available for the {system_id} system"),
         (system_id in PATHS[path_id].couplings, "path/id",
          f"{path_id} is not defined for the {system_id} system"),
+        (sweep is not None or "grid" in cfg or "meshes" in cfg, "grid",
+         "required unless a sweep is given"),
+        (sweep is not None or ("t_end" in cfg and "initial" in cfg), "t_end",
+         "t_end and initial are required unless a sweep is given"),
+        (sweep is None or ("xi_targets" in sweep) != ("component_targets" in sweep),
+         "sweep", "give exactly one of xi_targets / component_targets"),
     ):
         if not ok:
             raise ConfigError(f"{field}: {why}", field=field)
-    if "sweep" not in cfg:
-        if "grid" not in cfg and "meshes" not in cfg:
-            raise ConfigError("grid: required unless a sweep is given", field="grid")
-        if "t_end" not in cfg or "initial" not in cfg:
-            raise ConfigError(
-                "t_end/initial: required unless a sweep is given", field="t_end"
-            )
-    sweep = cfg.get("sweep")
-    if sweep is not None:
-        if ("xi_targets" in sweep) == ("component_targets" in sweep):
-            raise ConfigError(
-                "sweep: give exactly one of xi_targets / component_targets",
-                field="sweep",
-            )
     return cfg
 
 
 def build_components(cfg, seed=None):
-    cls = SYSTEMS[cfg["system"]["id"]]
-    # a system takes the physical parameters its constructor names
-    params = inspect.signature(cls).parameters
-    system = cls(**{k: v for k, v in cfg["system"].items() if k in params})
-    path = _path(cfg, system, cfg["path"].get("epsilon", 0.0))
+    """(system, path, scheme) of a validated config; the seed defaults to its own."""
+    system = SYSTEMS[cfg["system"]["id"]](
+        **{k: v for k, v in cfg["system"].items() if k != "id"})
+    path = PATHS[cfg["path"]["id"]].for_system(system, cfg["path"].get("epsilon", 0.0))
     if seed is None:
         seed = cfg.get("seed", 0)
-    return system, path, _scheme(cfg, system, path, seed)
-
-
-def _path(cfg, system, epsilon):
-    return PATHS[cfg["path"]["id"]].for_system(system, epsilon)
-
-
-def _scheme(cfg, system, path, seed):
-    return SCHEMES[cfg["scheme"]["id"]](system, path, seed=seed)
-
-
-def _topography(x, spec):
-    if spec["id"] == "dam_break_over_bump":
-        return spec.get("base_depth", 1.0) - spec.get("bump_amplitude", 0.5) * np.exp(
-            -((x - spec.get("bump_center", 5.0)) ** 2)
-        )
-    raise ConfigError(f"no topography for initial id {spec['id']!r}")
+    return system, path, SCHEMES[cfg["scheme"]["id"]](system, path, seed=seed)
 
 
 def initial_solution(cfg, system, cells):
-    grid_cfg = cfg["grid"]
-    grid = Grid(grid_cfg["x_min"], grid_cfg["x_max"], cells)
-    x = grid.centers
+    grid = Grid(cfg["grid"]["x_min"], cfg["grid"]["x_max"], cells)
     spec = cfg["initial"]
-    kind = spec["id"]
-    if kind == "riemann":
-        left = np.asarray(spec["left"], dtype=float)
-        right = np.asarray(spec["right"], dtype=float)
-        x0 = spec.get("x0", 0.0)
-        states = np.where(x[:, None] < x0, left, right)
-    elif kind == "dam_break_over_bump":
-        H = _topography(x, spec)
-        lift = spec.get("surface_lift", 0.5)
-        x_dam = spec.get("x_dam", 4.0)
-        h = np.where(x < x_dam, H + lift, H)
-        states = np.stack([h, np.zeros_like(h), H], axis=-1)
-    elif kind == "stationary_contact":
-        left = np.asarray(spec["left"], dtype=float)
-        right = stationary_contact_state(system, left, spec["sigma_right"])
-        x0 = spec.get("x0", 0.0)
-        states = np.where(x[:, None] < x0, left, right)
-    elif kind == "still_water_over_step":
-        x0 = spec.get("x_step", 0.0)
-        sig = np.where(x < x0, spec.get("sigma_left", 0.0), spec.get("sigma_right", 1.0))
-        h = spec.get("surface", 1.0) + sig
-        states = np.stack([h, np.zeros_like(h), sig], axis=-1)
-    else:
-        raise ConfigError(f"unknown initial id {kind!r}", field="initial/id")
-    return Solution(grid, 0.0, states)
+    return Solution(grid, 0.0, INITIALS[spec["id"]](spec, system, grid.centers))
 
 
 def boundary_for(cfg, sol):
-    b = cfg.get("boundary", {"id": "free"})
-    if b["id"] == "free":
-        return FreeBoundary()
-    if b["id"] == "inflow_left":
-        return DirichletBoundary(left=sol.states[0])
-    raise ConfigError(f"unknown boundary id {b['id']!r}", field="boundary/id")
+    return BOUNDARIES[cfg["boundary"]["id"]](sol) if "boundary" in cfg else FreeBoundary()
 
 
 # ---------------------------------------------------------------------------
@@ -325,69 +330,67 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(out, name, cfg, seed):
-    manifest = {
-        "package": "pathfv",
-        "version": __version__,
-        "name": name,
-        "seed": seed,
-        "config": cfg,
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _tag(key, value):
+    """File-name part ``_<key><value>``, with the decimal point as ``p``."""
+    return "" if value is None else f"_{key}{format(float(value), 'g').replace('.', 'p')}"
+
+
 # ---------------------------------------------------------------------------
-# Runners
+# Runners.  Both verbs go config -> set-up -> jobs (``_map``) -> ``_finish``.
+
+
+def _setup(cfg, out_dir, seed, section, missing, default_name):
+    """Validate, require the verb's section, pick the seed, make <out>/<name>."""
+    cfg = validate_config(load_config(cfg))
+    if section not in cfg:
+        raise ConfigError(missing, field=section)
+    seed = cfg.get("seed", 0) if seed is None else int(seed)
+    name = cfg.get("name", default_name)
+    out = Path(out_dir) / name
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, seed, name, out
+
+
+def _map(fn, items, threads):
+    """``[fn(item) for item in items]``, on a thread pool when that can help."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _finish(out, filename, payload, name, cfg, seed):
+    """Write the verb's JSON, then the manifest; return the output directory."""
+    _write_json(out / filename, payload)
+    _write_json(out / "manifest.json", {"package": "pathfv", "version": __version__,
+                                        "name": name, "seed": seed, "config": cfg})
+    return out
 
 
 def run(cfg, out_dir, seed=None, threads=1):
     """Time-evolution experiment: profiles + diagnostics per mesh."""
-    cfg = validate_config(load_config(cfg))
-    if "initial" not in cfg:
-        raise ConfigError(
-            "config has no time-evolution section; use the sweep verb",
-            field="initial",
-        )
-    seed = cfg.get("seed", 0) if seed is None else int(seed)
-    name = cfg.get("name", "experiment")
-    out = Path(out_dir) / name
-    out.mkdir(parents=True, exist_ok=True)
-    system, path, _ = build_components(cfg, seed=seed)
+    cfg, seed, name, out = _setup(
+        cfg, out_dir, seed, "initial",
+        "config has no time-evolution section; use the sweep verb", "experiment")
     meshes = cfg.get("meshes", [cfg["grid"]["cells"]]) if "grid" in cfg else cfg["meshes"]
-    names = list(system.components)
+    ocfg = cfg.get("output", {})
 
     def one_mesh(cells):
-        _, _, scheme = build_components(cfg, seed=seed)
+        system, path, scheme = build_components(cfg, seed=seed)
         sol0 = initial_solution(cfg, system, cells)
-        bc = boundary_for(cfg, sol0)
-        snap_times = cfg.get("output", {}).get("snapshot_times", [cfg["t_end"]])
-        snaps = evolve(scheme, sol0, cfg["t_end"], cfg["cfl"], bc=bc,
-                       snapshot_times=snap_times)
-        return sol0, snaps
-
-    if threads > 1 and len(meshes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_mesh, meshes))
-    else:
-        results = [one_mesh(m) for m in meshes]
-
-    diagnostics = {}
-    for cells, (sol0, snaps) in zip(meshes, results):
+        snaps = evolve(scheme, sol0, cfg["t_end"], cfg["cfl"], bc=boundary_for(cfg, sol0),
+                       snapshot_times=ocfg.get("snapshot_times", [cfg["t_end"]]))
         for s in snaps:
-            fname = out / f"profile_m{cells}_t{s.t:.6f}.csv"
-            rows = np.column_stack([s.grid.centers, s.states])
-            write_csv(fname, ["x"] + names, rows)
-        dkey = f"m{cells}"
+            write_csv(out / f"profile_m{cells}_t{s.t:.6f}.csv",
+                      ["x"] + list(system.components),
+                      np.column_stack([s.grid.centers, s.states]))
         entry = {}
-        ocfg = cfg.get("output", {})
         if "mass_ledger" in ocfg:
             m = ocfg["mass_ledger"]
             ledger = mass_track([sol0] + snaps, m["component"], m["half_width"],
@@ -417,16 +420,14 @@ def run(cfg, out_dir, seed=None, threads=1):
                 "nonconservative_residual": noncons,
                 "conservative_residual": cons,
             }
-        diagnostics[dkey] = entry
-    _write_json(out / "diagnostics.json", diagnostics)
-    _write_manifest(out, name, cfg, seed)
-    return out
+        return f"m{cells}", entry
+
+    return _finish(out, "diagnostics.json", dict(_map(one_mesh, meshes, threads)),
+                   name, cfg, seed)
 
 
-def _exact_sweep_points(system, path, sweep):
+def _exact_sweep_points(system, path, sweep, fixed, side):
     """Exact curve and the exact states at the requested targets."""
-    fixed = np.asarray(sweep["fixed_state"], dtype=float)
-    side = sweep["fixed_side"]
     k = sweep["family"] - 1
     lam = system.eigenvalues(fixed)
     xi0 = float(lam[k])
@@ -460,89 +461,60 @@ def _exact_sweep_points(system, path, sweep):
 
 def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
     """Exact-vs-numerical shock-curve comparison over meshes (and epsilons)."""
-    cfg = validate_config(load_config(cfg))
-    if "sweep" not in cfg:
-        raise ConfigError("config has no sweep section", field="sweep")
-    seed = cfg.get("seed", 0) if seed is None else int(seed)
-    name = cfg.get("name", "sweep")
-    out = Path(out_dir) / name
-    out.mkdir(parents=True, exist_ok=True)
-    system, base_path, _ = build_components(cfg, seed=seed)
+    cfg, seed, name, out = _setup(cfg, out_dir, seed, "sweep",
+                                  "config has no sweep section", "sweep")
     sweep = cfg["sweep"]
-    names = list(system.components)
+    names = list(SYSTEMS[cfg["system"]["id"]].components)
+    # one path variant per listed epsilon, else the config's own path
     epsilons = sweep.get("epsilons")
-    if epsilons is None:
-        path_variants = [(None, base_path)]
-    else:
-        path_variants = [(eps, _path(cfg, system, eps)) for eps in epsilons]
-
+    variants = [(None, cfg)] if epsilons is None else [
+        (eps, {**cfg, "path": {**cfg["path"], "epsilon": eps}}) for eps in epsilons
+    ]
     fixed = np.asarray(sweep["fixed_state"], dtype=float)
     side = sweep["fixed_side"]
-    free_side = "right" if side == "left" else "left"
-    comp = sweep.get("extract_component", 0)
-    threshold = sweep.get("threshold", 0.1)
-    window = tuple(sweep["window"])
     domain = sweep["domain"]
-    t_end = sweep["t_end"]
-    snap_times = sweep["snapshot_times"]
 
     exact_curves = {}
-    target_points = {}
-    for eps, path in path_variants:
-        curve, points = _exact_sweep_points(system, path, sweep)
+    jobs = []
+    for eps, vcfg in variants:
+        system, path, _ = build_components(vcfg, seed=seed)
+        curve, points = _exact_sweep_points(system, path, sweep, fixed, side)
         exact_curves[eps] = curve
-        target_points[eps] = points
-        tag = "" if eps is None else f"_eps{_eps_tag(eps)}"
         write_csv(
-            out / f"exact_curve{tag}.csv",
+            out / f"exact_curve{_tag('eps', eps)}.csv",
             ["xi"] + names + ["residual"],
             np.column_stack([curve.xi, curve.states, curve.residuals]),
         )
-
-    jobs = []
-    for eps, path in path_variants:
-        for xi_t, w_free in target_points[eps]:
-            for dx in sweep["meshes_dx"]:
-                jobs.append((eps, path, xi_t, w_free, dx))
+        jobs += [(eps, vcfg, xi_t, w_free, dx)
+                 for xi_t, w_free in points for dx in sweep["meshes_dx"]]
 
     def one_job(job):
-        eps, path, xi_t, w_free, dx = job
-        cells = int(round((domain[1] - domain[0]) / dx))
-        grid = Grid(domain[0], domain[1], cells)
-        if side == "left":
-            wl, wr = fixed, w_free
-        else:
-            wl, wr = w_free, fixed
-        states = np.where(grid.centers[:, None] < 0.0, wl, wr)
-        sol = Solution(grid, 0.0, states)
-        scheme = _scheme(cfg, system, path, seed)
-        snaps = evolve(scheme, sol, t_end, cfg["cfl"], snapshot_times=snap_times)
+        eps, vcfg, xi_t, w_free, dx = job
+        system, path, scheme = build_components(vcfg, seed=seed)
+        grid = Grid(domain[0], domain[1], int(round((domain[1] - domain[0]) / dx)))
+        sol = Solution(grid, 0.0,
+                       _jump(grid.centers, 0.0, *_ordered_pair(fixed, w_free, side)))
+        snaps = evolve(scheme, sol, sweep["t_end"], cfg["cfl"],
+                       snapshot_times=sweep["snapshot_times"])
         plateau = max(10, int(round(0.04 / dx)))
         margin = max(3, int(round(0.01 / dx)))
         try:
-            fit = extract_shock(snaps, comp, threshold=threshold, window=window,
+            fit = extract_shock(snaps, sweep.get("extract_component", 0),
+                                threshold=sweep.get("threshold", 0.1),
+                                window=tuple(sweep["window"]),
                                 plateau_cells=plateau, margin_cells=margin)
         except PathFVError as exc:  # record and continue sweeping
-            return ("failed", f"{type(exc).__name__}: {exc}")
-        noncons, cons = rh_residual(system, fit, path)
-        return ("ok", fit, noncons, cons)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_job, jobs))
-    else:
-        outcomes = [one_job(j) for j in jobs]
+            return None, {"epsilon": eps, "xi_target": xi_t, "dx": dx,
+                          "error": f"{type(exc).__name__}: {exc}"}
+        return (xi_t, fit, *rh_residual(system, fit, path)), None
 
     by_variant = {}
     failures = []
-    for job, outcome in zip(jobs, outcomes):
-        eps, path, xi_t, w_free, dx = job
-        if outcome[0] == "failed":
-            failures.append({"epsilon": eps, "xi_target": xi_t, "dx": dx,
-                             "error": outcome[1]})
-            continue
-        _, fit, noncons, cons = outcome
-        by_variant.setdefault((eps, dx), []).append((xi_t, fit, noncons, cons))
+    for (eps, _, _, _, dx), (entry, failure) in zip(jobs, _map(one_job, jobs, threads)):
+        if failure is None:
+            by_variant.setdefault((eps, dx), []).append(entry)
+        else:
+            failures.append(failure)
 
     report = {
         "name": name,
@@ -557,8 +529,7 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
         fits = [e[1] for e in entries]
         curve = numerical_curve(fixed, side, fits)
         curves[(eps, dx)] = curve
-        tag = "" if eps is None else f"_eps{_eps_tag(eps)}"
-        fname = f"numerical{tag}_dx{_dx_tag(dx)}.csv"
+        fname = f"numerical{_tag('eps', eps)}{_tag('dx', dx)}.csv"
         rows = []
         for xi_t, fit, noncons, cons in sorted(entries, key=lambda e: e[0]):
             free = fit.w_plus if side == "left" else fit.w_minus
@@ -593,9 +564,7 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
                     {"dx": dx, "epsilons": [ea, eb],
                      "distance": _distance(curves[(ea, dx)], curves[(eb, dx)])}
                 )
-    _write_json(out / "report.json", report)
-    _write_manifest(out, name, cfg, seed)
-    return out
+    return _finish(out, "report.json", report, name, cfg, seed)
 
 
 def _distance(curve_a, curve_b):
@@ -605,11 +574,3 @@ def _distance(curve_a, curve_b):
         return _curve_distance(curve_a, curve_b)
     except TraceError:
         return None
-
-
-def _eps_tag(eps):
-    return format(float(eps), "g").replace(".", "p")
-
-
-def _dx_tag(dx):
-    return format(float(dx), "g").replace(".", "p")

@@ -93,43 +93,52 @@ def _fd_jacobian(resid, z):
     return J
 
 
-def _newton_free_state(system, path, fixed_state, side, xi, seed, tol=1e-12,
-                       max_iter=60):
-    """Damped Newton for the free state at fixed xi.  Returns (state, resid)."""
-    w = np.array(seed, dtype=float)
-    r = _rh_residual_vec(system, path, fixed_state, side, w, xi)
+def _damped_newton(resid, z, tol, scale, max_iter, max_halvings, where, xi=None):
+    """Damped Newton for resid(z) = 0 with a finite-difference Jacobian.
+
+    Each step tries the full Newton step and up to ``max_halvings - 1``
+    halvings of it, and stops when none lowers the residual.  Returns
+    (z, |resid(z)|_inf); a singular Jacobian or a final residual above
+    1e-10 * scale raises ``TraceError`` (message ending in ``where``,
+    carrying ``xi``).
+    """
+    r = resid(z)
     rnorm = np.abs(r).max()
-    scale = max(1.0, abs(xi), float(np.abs(fixed_state).max()))
     for _ in range(max_iter):
         if rnorm <= tol * scale:
             break
-        J = _fd_jacobian(
-            lambda v: _rh_residual_vec(system, path, fixed_state, side, v, xi), w
-        )
         try:
-            delta = np.linalg.solve(J, -r)
+            delta = np.linalg.solve(_fd_jacobian(resid, z), -r)
         except np.linalg.LinAlgError as exc:
-            raise TraceError(f"singular Jacobian (fold?) at xi = {xi}", xi=xi) from exc
+            raise TraceError(f"singular Jacobian (fold?) {where}", xi=xi) from exc
         lam = 1.0
-        improved = False
-        for _ in range(40):
-            w_new = w + lam * delta
+        for _ in range(max_halvings):
+            z_new = z + lam * delta
             try:
-                r_new = _rh_residual_vec(system, path, fixed_state, side, w_new, xi)
+                r_new = resid(z_new)
             except PathFVError:  # left the region where the residual is defined
                 lam *= 0.5
                 continue
             if np.abs(r_new).max() < rnorm:
-                w, r = w_new, r_new
-                rnorm = np.abs(r_new).max()
-                improved = True
                 break
             lam *= 0.5
-        if not improved:
+        else:
             break
+        z, r, rnorm = z_new, r_new, np.abs(r_new).max()
     if rnorm > 1e-10 * scale:
-        raise TraceError(f"Newton did not converge at xi = {xi}", xi=xi)
-    return w, float(rnorm)
+        raise TraceError(f"Newton did not converge {where}", xi=xi)
+    return z, float(rnorm)
+
+
+def _newton_free_state(system, path, fixed_state, side, xi, seed, tol=1e-12,
+                       max_iter=60):
+    """Damped Newton for the free state at fixed xi.  Returns (state, resid)."""
+    return _damped_newton(
+        lambda v: _rh_residual_vec(system, path, fixed_state, side, v, xi),
+        np.array(seed, dtype=float), tol,
+        max(1.0, abs(xi), float(np.abs(fixed_state).max())), max_iter, 40,
+        f"at xi = {xi}", xi=xi,
+    )
 
 
 def trace_exact(system, path, fixed_state, side, xi_start, xi_end, steps,
@@ -239,28 +248,8 @@ def solve_rh_at(system, path, fixed_state, side, component, value, seed_state,
         return _rh_residual_vec(system, path, fixed_state, side, w, xi)
 
     z = np.concatenate([np.asarray(seed_state, float)[free_idx], [seed_xi]])
-    r = resid(z)
-    scale = max(1.0, float(np.abs(fixed_state).max()))
-    for _ in range(max_iter):
-        if np.abs(r).max() <= tol * scale:
-            break
-        delta = np.linalg.solve(_fd_jacobian(resid, z), -r)
-        lam = 1.0
-        while lam > 1e-6:
-            z_new = z + lam * delta
-            try:
-                r_new = resid(z_new)
-            except PathFVError:  # left the region where the residual is defined
-                lam *= 0.5
-                continue
-            if np.abs(r_new).max() < np.abs(r).max():
-                z, r = z_new, r_new
-                break
-            lam *= 0.5
-        else:
-            break
-    if np.abs(r).max() > 1e-10 * scale:
-        raise TraceError("pinned jump-condition solve did not converge")
+    z, _ = _damped_newton(resid, z, tol, max(1.0, float(np.abs(fixed_state).max())),
+                          max_iter, 20, "in the pinned jump-condition solve")
     w, xi = unpack(z)
     return w, float(xi)
 

@@ -317,7 +317,7 @@ def _rarefaction_state_at(anchor, family, xi):
     Along family 1, with psi = sqrt(u) and kap = h_a + 2 psi_a,
     lam_1 = 3 psi^2 - kap psi, inverted by the quadratic formula (taking the
     branch continuous with the anchor); family 2 is analogous with
-    kap2 = 2 psi_a - h_a and lam_2 = 3 psi^2 + kap2 psi.
+    kap2 = 2 psi_a - h_a and lam_2 = 3 psi^2 - kap2 psi.
     """
     h_a, q_a = anchor
     psi_a = math.sqrt(q_a / h_a)

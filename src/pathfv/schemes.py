@@ -152,18 +152,9 @@ def cfl_dt(system, sol, cfl, max_cfl=1.0):
 
 def step(scheme, sol, dt, bc=None, lambda_max=None):
     """One explicit update of ``sol`` by ``dt``; refuses unstable steps."""
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    bc = bc or FreeBoundary()
     grid = sol.grid
-    if lambda_max is None:
-        lambda_max = float(scheme.system.max_abs_speed(sol.states))
-    dt_max = scheme.max_cfl * grid.dx / lambda_max
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt = {dt:.3e} violates the CFL bound", required_dt=dt_max
-        )
-    ext = bc.extend(sol.states)
+    _check_cfl(scheme, sol, dt, lambda_max)
+    ext = (bc or FreeBoundary()).extend(sol.states)
     mm, mp = scheme.fluctuations(ext[:-1], ext[1:], grid.dx, dt)
     new = sol.states - (dt / grid.dx) * (mp[:-1] + mm[1:])
     if not np.all(np.isfinite(new)):
@@ -171,6 +162,20 @@ def step(scheme, sol, dt, bc=None, lambda_max=None):
         raise BlowUpError(f"scheme blew up at cell {cell}", cell=cell)
     speed = _admissible_speed(scheme.system, new, sol.n + 1)
     return Solution(grid, sol.t + dt, new, sol.n + 1, max_speed=speed)
+
+
+def _check_cfl(scheme, sol, dt, lambda_max):
+    """Refuse dt <= 0 and dt above the scheme's CFL bound (wave speed from the
+    states if ``lambda_max`` is None)."""
+    if dt <= 0.0:
+        raise DomainError("dt must be positive")
+    if lambda_max is None:
+        lambda_max = float(scheme.system.max_abs_speed(sol.states))
+    dt_max = scheme.max_cfl * sol.grid.dx / lambda_max
+    if dt > dt_max * (1.0 + 1e-12):
+        raise CFLViolationError(
+            f"dt = {dt:.3e} violates the {scheme.name} CFL bound", required_dt=dt_max
+        )
 
 
 def _admissible_speed(system, states, n):
@@ -193,8 +198,8 @@ def _roe_eigendata(system, path, UL, UR):
     """Sorted eigenvalues and eigenvector matrices of the Roe matrix, batched.
 
     The system builds them from the path's coupling.  Returns
-    (lam, K, integral) where ``integral`` is the closed-form path integral
-    used for the property-3 safety check.
+    (lam, K, coeff) where ``coeff`` = K^-1 (u_r - u_l), the wave strengths
+    that the property-3 safety check uses and the fluctuations split.
     """
     UL = np.asarray(UL, dtype=float)
     UR = np.asarray(UR, dtype=float)
@@ -211,7 +216,7 @@ def _roe_eigendata(system, path, UL, UR):
         raise RoeConstructionError(
             "Roe linearization violates the jump identity", residual=float(resid)
         )
-    return lam, K, integral
+    return lam, K, coeff
 
 
 def _check_distinct(lam):
@@ -225,8 +230,6 @@ def _check_distinct(lam):
 
 def roe_matrix(system, path, u_l, u_r):
     """Explicit Roe matrix for one pair of states (checked properties 1-3)."""
-    u_l = np.asarray(u_l, dtype=float)
-    u_r = np.asarray(u_r, dtype=float)
     lam, K, _ = _roe_eigendata(system, path, u_l, u_r)
     if np.linalg.cond(K) > 1e12:
         raise EigenDecompositionError("Roe eigenvector matrix is ill-conditioned")
@@ -240,8 +243,10 @@ def roe_matrix(system, path, u_l, u_r):
 class Scheme:
     """Base: each class declares ``name``, ``max_cfl`` and ``systems``.
 
+    ``advance(sol, dt, bc, lambda_max)`` is the one update the driver calls.
     Fluctuation schemes provide a vectorized ``fluctuations(UL, UR, dx, dt)``
-    and advance by ``step``.  ``seed`` offsets the sequence of a sampling
+    and advance by ``step``; a scheme without a fluctuation form (Glimm)
+    overrides ``advance``.  ``seed`` offsets the sequence of a sampling
     scheme; the others ignore it.
     """
 
@@ -274,8 +279,7 @@ class RoeScheme(Scheme):
         trivial = np.abs(du).max(axis=-1) == 0.0
         if np.all(trivial):
             return np.zeros_like(UL), np.zeros_like(UL)
-        lam, K, _ = _roe_eigendata(self.system, self.path, UL, UR)
-        coeff = np.linalg.solve(K, du[..., None])[..., 0]
+        lam, K, coeff = _roe_eigendata(self.system, self.path, UL, UR)
         mm = np.einsum("...ij,...j->...i", K, np.minimum(lam, 0.0) * coeff)
         mp = np.einsum("...ij,...j->...i", K, np.maximum(lam, 0.0) * coeff)
         mm[trivial] = 0.0
@@ -314,11 +318,7 @@ class ModifiedLaxFriedrichsScheme(Scheme):
     systems = (ShallowWaterSystem.name,)  # a balance law with a frozen sigma
 
     def fluctuations(self, UL, UR, dx, dt):
-        UL = np.asarray(UL, dtype=float)
-        UR = np.asarray(UR, dtype=float)
-        du = UR - UL
-        lam, K, _ = _roe_eigendata(self.system, self.path, UL, UR)
-        coeff = np.linalg.solve(K, du[..., None])[..., 0]
+        lam, K, coeff = _roe_eigendata(self.system, self.path, UL, UR)
         scale = np.abs(lam).max(axis=-1, keepdims=True)
         moving = np.abs(lam) >= ZERO_EIG_RTOL * scale
         ident = np.where(moving, 1.0, 0.0)
@@ -350,7 +350,6 @@ class GodunovScheme(Scheme):
     def fluctuations(self, UL, UR, dx, dt):
         UL = np.asarray(UL, dtype=float)
         UR = np.asarray(UR, dtype=float)
-        single = UL.ndim == 1
         ULb = UL.reshape(-1, 2)
         URb = UR.reshape(-1, 2)
         mm = np.zeros_like(ULb)
@@ -360,8 +359,6 @@ class GodunovScheme(Scheme):
                 continue
             fan = solve_riemann(ULb[i], URb[i])
             mm[i], mp[i] = fan_split_integrals(fan)
-        if single:
-            return mm[0], mp[0]
         return mm.reshape(UL.shape), mp.reshape(UR.shape)
 
 
@@ -381,47 +378,14 @@ class VanDerCorputSampler:
         return theta
 
 
-def glimm_step(riemann_solver, sol, dt, sampler, bc=None, lambda_max=None):
-    """Random-choice update: each cell takes one sampled exact Riemann value.
+class GlimmScheme(Scheme):
+    """Random choice: each cell takes one sampled exact Riemann value.
 
     The value of cell i is the exact solution at x_{i-1/2} + theta dx, which
     lies in the left interface fan for theta < 1/2 and in the right one
-    otherwise (CFL <= 1/2 keeps neighbouring fans from interacting).
+    otherwise (CFL <= 1/2 keeps neighbouring fans from interacting), so each
+    interface is sampled by at most one cell.
     """
-    bc = bc or FreeBoundary()
-    grid = sol.grid
-    if lambda_max is not None and dt > 0.5 * grid.dx / lambda_max * (1 + 1e-12):
-        raise CFLViolationError(
-            "Glimm step needs CFL <= 1/2", required_dt=0.5 * grid.dx / lambda_max
-        )
-    ext = bc.extend(sol.states)
-    theta = sampler.take()
-    fans = {}
-
-    def fan_at(j):  # interface between ext[j] and ext[j+1]
-        if j not in fans:
-            fans[j] = solve_riemann(ext[j], ext[j + 1])
-        return fans[j]
-
-    new = np.empty_like(sol.states)
-    for i in range(grid.m):
-        if theta < 0.5:
-            j = i  # left interface of cell i in extended indexing
-            if (ext[j] == ext[j + 1]).all():
-                new[i] = ext[j]
-            else:
-                new[i] = fan_sample(fan_at(j), theta * grid.dx / dt)
-        else:
-            j = i + 1
-            if (ext[j] == ext[j + 1]).all():
-                new[i] = ext[j]
-            else:
-                new[i] = fan_sample(fan_at(j), (theta - 1.0) * grid.dx / dt)
-    return Solution(grid, sol.t + dt, new, sol.n + 1)
-
-
-class GlimmScheme(Scheme):
-    """Driver-compatible wrapper around ``glimm_step``."""
 
     name = "glimm"
     max_cfl = 0.5
@@ -432,8 +396,20 @@ class GlimmScheme(Scheme):
         self.sampler = VanDerCorputSampler(offset=seed)
 
     def advance(self, sol, dt, bc=None, lambda_max=None):
-        return glimm_step(solve_riemann, sol, dt, self.sampler, bc=bc,
-                          lambda_max=lambda_max)
+        grid = sol.grid
+        _check_cfl(self, sol, dt, lambda_max)
+        ext = (bc or FreeBoundary()).extend(sol.states)
+        theta = self.sampler.take()
+        # cell i samples interface i of ext (its left one) or interface i + 1
+        if theta < 0.5:
+            shift, xi = 0, theta * grid.dx / dt
+        else:
+            shift, xi = 1, (theta - 1.0) * grid.dx / dt
+        new = np.empty_like(sol.states)
+        for i in range(grid.m):
+            a, b = ext[i + shift], ext[i + shift + 1]
+            new[i] = a if (a == b).all() else fan_sample(solve_riemann(a, b), xi)
+        return Solution(grid, sol.t + dt, new, sol.n + 1)
 
 
 def evolve(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):

@@ -7,6 +7,8 @@ import pytest
 from pathfv import ConfigError
 from pathfv.cli import main
 from pathfv.experiments import (
+    BOUNDARIES,
+    INITIALS,
     SCHEMA,
     builtin_names,
     load_config,
@@ -120,6 +122,24 @@ class TestValidation:
             assert props[section]["properties"]["id"]["enum"] == list(registry)
             for key, cls in registry.items():
                 assert cls.name == key
+        for section, registry in (("initial", INITIALS), ("boundary", BOUNDARIES)):
+            assert props[section]["properties"]["id"]["enum"] == list(registry)
+
+    def test_unknown_initial_id(self):
+        cfg = tiny_run_config(initial={"id": "nonsense"})
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == "initial/id"
+
+    @pytest.mark.parametrize("system", [{"id": "shallow_water", "r": 0.5},
+                                        {"id": "simplified", "g": 1.0}])
+    def test_system_keys_the_constructor_does_not_take(self, system):
+        path = "segments" if system["id"] == "shallow_water" else "two_segment"
+        cfg = tiny_run_config(system=system, path={"id": path})
+        key = next(k for k in system if k != "id")
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == f"system/{key}"
 
     def test_sweep_targets_exclusive(self):
         cfg = tiny_sweep_config()
@@ -213,6 +233,20 @@ class TestSweep:
         assert [e["distance"] for e in d["to_exact"]] == [None, None]
         assert [e["distance"] for e in d["mesh_to_mesh"]] == [None]
 
+    def test_failed_jobs_are_listed_in_the_report(self, tmp_path):
+        # a scan window outside the domain: every job's extraction fails
+        cfg = tiny_sweep_config()
+        cfg["sweep"]["window"] = [10.0, 11.0]
+        cfg["sweep"]["meshes_dx"] = [0.02]
+        out = sweep_hugoniot(cfg, tmp_path, threads=2)
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["failures"]) == 2
+        for failure in report["failures"]:
+            assert failure["epsilon"] is None and failure["dx"] == 0.02
+            assert failure["error"].startswith("FrontExtractionError")
+        assert report["numerical_curves"] == []
+        assert report["distances"]["to_exact"] == []
+
     def test_run_verb_rejects_sweep_only_config(self, tmp_path):
         with pytest.raises(ConfigError):
             run(tiny_sweep_config(), tmp_path)
@@ -241,6 +275,18 @@ class TestCli:
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(tiny_run_config(**overrides)))
             assert main(["validate", str(bad)]) == 1
+
+    def test_validate_unknown_ids_and_keys(self, tmp_path):
+        for overrides in (
+            {"initial": {"id": "nonsense"}},
+            {"boundary": {"id": "nonsense"}},
+            {"system": {"id": "simplified", "g": 1.0}},
+            {"system": {"id": "shallow_water", "r": 0.5}, "path": {"id": "segments"}},
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(tiny_run_config(**overrides)))
+            assert main(["validate", str(bad)]) == 1, overrides
+            assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
 
     def test_run_and_exit_codes(self, tmp_path):
         cfgfile = tmp_path / "c.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pathfv import hugoniot
 from pathfv.hugoniot import _newton_free_state
 from pathfv import (
     EquilibriumPath,
@@ -63,6 +64,25 @@ class TestLineSearchLetsBugsThrough:
         with pytest.raises(TypeError):
             solve_rh_at(SIMPLE, TWO_SEG, np.array([1.0, 1.0]), "left", 0, 1.8,
                         np.array([1.7, 0.6]), -0.5)
+
+
+class TestSingularJacobian:
+    # a singular Jacobian is a TraceError, never numpy's LinAlgError
+    @pytest.fixture(autouse=True)
+    def singular(self, monkeypatch):
+        monkeypatch.setattr(hugoniot, "_fd_jacobian",
+                            lambda resid, z: np.zeros((len(z), len(z))))
+
+    def test_solve_rh_at(self):
+        with pytest.raises(TraceError):
+            solve_rh_at(SIMPLE, TWO_SEG, np.array([1.0, 1.0]), "left", 0, 1.8,
+                        np.array([1.7, 0.6]), -0.5)
+
+    def test_newton_free_state_keeps_xi(self):
+        with pytest.raises(TraceError) as err:
+            _newton_free_state(SIMPLE, TWO_SEG, np.array([1.0, 1.0]), "left",
+                               XI_SHOCK, np.array([1.7, 0.6]))
+        assert err.value.xi == XI_SHOCK
 
 
 class TestTraceExact:

@@ -24,10 +24,8 @@ from pathfv import (
     VanDerCorputSampler,
     cfl_dt,
     evolve,
-    glimm_step,
     path_integral,
     roe_matrix,
-    solve_riemann,
     step,
 )
 from conftest import (
@@ -307,6 +305,23 @@ def test_roe_jump_identity_for_every_declared_pair(family, system_name, rng):
         assert np.abs(A @ (b - a) - I).max() < 1e-9
 
 
+@pytest.mark.parametrize("system_name", list(SYSTEMS))
+def test_eigenvector_matrices_are_c_ordered(system_name, rng):
+    # the fluctuations apply K with einsum, whose rounding depends on K's
+    # memory layout; byte-identical artifacts rest on C order
+    system = SYSTEMS[system_name]()
+    W = RANDOM_STATES[system_name](rng, 40)
+    W = W[system.is_admissible(W)][:20]
+    W_r = W * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=W.shape))
+    assert system.eigensystem(W)[1].flags.c_contiguous
+    assert system.eigensystem(W[0])[1].flags.c_contiguous
+    for family in PATHS.values():
+        if system_name in family.couplings:
+            path = family.for_system(system, 0.04)
+            _, K = system.roe_eigensystem(W, W_r, path.coupling(system, W, W_r))
+            assert K.flags.c_contiguous, family.name
+
+
 def test_undeclared_pair_is_refused():
     with pytest.raises(DomainError):
         RoeScheme(SW, TwoSegmentPath())
@@ -394,8 +409,19 @@ class TestGlimm:
 
     def test_constant_data_unchanged(self):
         sol = make_solution(np.tile([1.0, 1.0], (8, 1)))
-        out = glimm_step(solve_riemann, sol, 1e-3, VanDerCorputSampler())
+        out = GlimmScheme(SIMPLE).advance(sol, 1e-3)
         assert np.array_equal(out.states, sol.states)
+
+    def test_advance_checks_the_cfl_bound_itself(self):
+        wl, wr = np.array([1.0, 1.0]), np.array([1.8, Q_R])
+        grid = Grid(-1.0, 1.0, 20)
+        sol = Solution(grid, 0.0, np.where(grid.centers[:, None] < 0, wl, wr))
+        dt_max = cfl_dt(SIMPLE, sol, 0.5, max_cfl=0.5)
+        with pytest.raises(CFLViolationError) as err:
+            GlimmScheme(SIMPLE).advance(sol, 2.0 * dt_max)
+        assert err.value.required_dt == pytest.approx(dt_max)
+        with pytest.raises(DomainError):
+            GlimmScheme(SIMPLE).advance(sol, 0.0)
 
     def test_isolated_shock_advances_by_cells(self):
         # the sampled shock moves by exactly 0 or dx each step and its mean
