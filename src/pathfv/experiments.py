@@ -276,6 +276,7 @@ def validate_config(cfg):
                               field=f"system/{key}")
     scheme = SCHEMES[cfg["scheme"]["id"]]
     sweep = cfg.get("sweep")
+    shaped = PATHS[path_id].epsilon is not None
     for ok, field, why in (
         (cfg["cfl"] <= scheme.max_cfl, "cfl",
          f"{scheme.name} requires cfl <= {scheme.max_cfl}"),
@@ -283,6 +284,10 @@ def validate_config(cfg):
          f"{scheme.name} is not available for the {system_id} system"),
         (system_id in PATHS[path_id].couplings, "path/id",
          f"{path_id} is not defined for the {system_id} system"),
+        (shaped or "epsilon" not in cfg["path"], "path/epsilon",
+         f"{path_id} has no shape parameter"),
+        (shaped or "epsilons" not in (sweep or {}), "sweep/epsilons",
+         f"{path_id} has no shape parameter"),
         (sweep is not None or "grid" in cfg or "meshes" in cfg, "grid",
          "required unless a sweep is given"),
         (sweep is not None or ("t_end" in cfg and "initial" in cfg), "t_end",

@@ -22,6 +22,10 @@ form is ``system.jump_integral`` of it and the Roe linearization
 for a declared pair and otherwise adaptive Gauss-Legendre quadrature per
 leg (piecewise paths have a tangent jump between legs).  ``PATHS`` maps
 config ids to the families.
+
+The equilibrium family's intermediate states come from one batched solve,
+``_equilibrium_h``, over every pair of a call; its memoized scalar entry
+``_equilibrium_h_cached`` serves ``hugoniot.stationary_contact_state`` only.
 """
 
 from functools import lru_cache
@@ -37,7 +41,8 @@ class PathFamily:
     """Base class; subclasses implement ``evaluate`` and ``tangent``.
 
     ``breakpoints`` lists the leg boundaries in s (smooth pieces between
-    them), ``epsilon`` is the shape parameter for families that have one.
+    them), ``epsilon`` is the shape parameter (its default on the class)
+    and None for a family without one, where a config may not set it.
     Families with a closed form declare ``couplings`` and implement
     ``closed_form_integral``.
     """
@@ -64,12 +69,6 @@ class PathFamily:
     def __repr__(self):
         eps = "" if self.epsilon is None else f"(epsilon={self.epsilon})"
         return f"<{type(self).__name__}{eps}>"
-
-
-def _sdim(s, u):
-    """Broadcast path parameter against a single state pair."""
-    s = np.asarray(s, dtype=float)
-    return s[..., None], s.shape
 
 
 def _mean(u_l, u_r, k):
@@ -100,14 +99,12 @@ class SegmentsPath(PathFamily):
     def evaluate(self, s, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
-        sb, _ = _sdim(s, u_l)
-        return u_l + sb * (u_r - u_l)
+        return u_l + np.asarray(s, dtype=float)[..., None] * (u_r - u_l)
 
     def tangent(self, s, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
-        sb, sshape = _sdim(s, u_l)
-        return np.broadcast_to(u_r - u_l, sshape + u_l.shape).copy()
+        return np.broadcast_to(u_r - u_l, np.shape(s) + u_l.shape).copy()
 
     def closed_form_integral(self, system, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
@@ -194,6 +191,7 @@ class SkewedSegmentsPath(PathFamily):
     """
 
     name = "skewed_segments"
+    epsilon = 0.0
     couplings = {
         TwoLayerSystem.name: lambda path, system, u_l, u_r: path.coupling_coefficients(
             u_l[..., 0], u_r[..., 0], u_l[..., 2], u_r[..., 2]
@@ -269,65 +267,67 @@ class SkewedSegmentsPath(PathFamily):
 
 @lru_cache(maxsize=4096)
 def _equilibrium_h_cached(h_l, q, delta_sigma, g):
-    return _equilibrium_h(h_l, q, delta_sigma, g)
+    """One memoized scalar solve, for ``hugoniot.stationary_contact_state``."""
+    return float(_equilibrium_h(h_l, q, delta_sigma, g))
 
 
 def _equilibrium_h(h_l, q, delta_sigma, g):
     """Thickness on the equilibrium curve through (h_l, q) after a sigma jump.
 
     Solves E(h) = E(h_l) + delta_sigma with E(h) = h + q^2/(2 g h^2) on the
-    branch (sub- or supercritical) containing h_l.
+    branch (sub- or supercritical) containing h_l, for every lane of the
+    broadcast arguments at once.  A lane leaves the iteration when its own
+    test passes, so its result does not depend on the rest of the batch.
     """
-    if h_l <= 0:
+    shape = np.broadcast(h_l, q, delta_sigma).shape
+    h_l, q, ds = (np.ravel(np.broadcast_to(v, shape)).astype(float)
+                  for v in (h_l, q, delta_sigma))
+    if np.any(h_l <= 0):
         raise DomainError("equilibrium solve requires h > 0")
-    if q == 0.0:
-        h = h_l + delta_sigma
-        if h <= 0:
-            raise PathConstructionError(
-                "equilibrium curve leaves h > 0 for this sigma jump"
-            )
-        return h
+    out = h_l + ds  # the solution where q = 0
+    if np.any((q == 0.0) & (out <= 0)):
+        raise PathConstructionError(
+            "equilibrium curve leaves h > 0 for this sigma jump"
+        )
+    idx = np.flatnonzero(q != 0.0)
+    h_l, q, ds = h_l[idx], q[idx], ds[idx]
     a = q * q / (2.0 * g)
-    target = h_l + a / h_l**2 + delta_sigma
+    target = h_l + a / h_l**2 + ds
     h_c = (q * q / g) ** (1.0 / 3.0)  # critical point, E'(h_c) = 0
     e_min = h_c + a / h_c**2
-    if target < e_min - 1e-14 * max(1.0, abs(target)):
+    scale = np.maximum(1.0, np.abs(target))
+    if np.any(target < e_min - 1e-14 * scale):
         raise PathConstructionError(
             "equilibrium curve does not reach the requested sigma"
         )
-    subcritical = h_l >= h_c
     # bracketed Newton on the monotone branch; E increases on the
     # subcritical branch and decreases on the supercritical one
-    if subcritical:
-        lo, hi = h_c, max(target, h_c) + 1.0
-        h = max(h_l + delta_sigma, h_c)
-    else:
-        lo, hi = 1e-12 * h_c, h_c
-        h = min(h_l, h_c)
-    h = min(max(h, lo), hi)
-    increasing = subcritical
+    sub = h_l >= h_c
+    lo = np.where(sub, h_c, 1e-12 * h_c)
+    hi = np.where(sub, np.maximum(target, h_c) + 1.0, h_c)
+    h = np.where(sub, np.maximum(h_l + ds, h_c), np.minimum(h_l, h_c))
+    h = np.minimum(np.maximum(h, lo), hi)
     for _ in range(100):
         f = h + a / h**2 - target
-        if (f > 0) == increasing:
-            hi = min(hi, h)
-        else:
-            lo = max(lo, h)
+        above = (f > 0) == sub
+        hi = np.where(above, np.minimum(hi, h), hi)
+        lo = np.where(above, lo, np.maximum(lo, h))
         df = 1.0 - 2.0 * a / h**3
-        if df != 0.0:
-            step = f / df
-            h_new = h - step
-        else:
-            h_new = 0.5 * (lo + hi)
-        if not (lo <= h_new <= hi):
-            h_new = 0.5 * (lo + hi)
-        if abs(h_new - h) < 1e-15 * max(1.0, abs(h)) and abs(f) < 1e-13 * max(
-            1.0, abs(target)
-        ):
-            return h_new
-        h = h_new
-    if abs(h + a / h**2 - target) < 1e-10 * max(1.0, abs(target)):
-        return h
-    raise PathConstructionError("equilibrium solve did not converge")
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_new = np.where(df != 0.0, h - f / df, mid)
+        h_new = np.where((lo <= h_new) & (h_new <= hi), h_new, mid)
+        done = (np.abs(h_new - h) < 1e-15 * np.maximum(1.0, np.abs(h))) & (
+            np.abs(f) < 1e-13 * scale)
+        out[idx[done]] = h_new[done]
+        idx, a, target, scale, sub, lo, hi, h = (
+            v[~done] for v in (idx, a, target, scale, sub, lo, hi, h_new))
+        if not idx.size:
+            break
+    if not np.all(np.abs(h + a / h**2 - target) < 1e-10 * scale):
+        raise PathConstructionError("equilibrium solve did not converge")
+    out[idx] = h
+    return out.reshape(shape)
 
 
 class EquilibriumPath(PathFamily):
@@ -356,12 +356,11 @@ class EquilibriumPath(PathFamily):
         self.g = float(g)
 
     def intermediate_state(self, u_l, u_r):
+        """W* = (h*, q_l, sigma_r) for (..., 3) arrays of pairs."""
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
-        h = _equilibrium_h_cached(
-            float(u_l[0]), float(u_l[1]), float(u_r[2] - u_l[2]), self.g
-        )
-        return np.array([h, u_l[1], u_r[2]])
+        h = _equilibrium_h(u_l[..., 0], u_l[..., 1], u_r[..., 2] - u_l[..., 2], self.g)
+        return np.stack([h, u_l[..., 1], u_r[..., 2]], axis=-1)
 
     def _energy(self, h, q):
         return h + q * q / (2.0 * self.g * h * h)
@@ -397,15 +396,14 @@ class EquilibriumPath(PathFamily):
     def _minus_gh(self, system, u_l, u_r):
         """(F2(w_l) - F2(w_star)) / [sigma], the factor that makes the jump
         identity hold; -g hbar where sigma is continuous, its limit."""
-        out = np.empty(u_l.shape[:-1]).reshape(-1)
-        for i, (wl, wr) in enumerate(zip(u_l.reshape(-1, 3), u_r.reshape(-1, 3))):
-            dsig = wr[2] - wl[2]
-            if abs(dsig) < 1e-10 * max(1.0, abs(wl[2]), abs(wr[2])):
-                out[i] = -system.g * 0.5 * (wl[0] + wr[0])
-                continue
-            f2 = system.flux(np.stack([wl, self.intermediate_state(wl, wr)]))[:, 1]
-            out[i] = (f2[0] - f2[1]) / dsig
-        return out.reshape(u_l.shape[:-1])
+        dsig = u_r[..., 2] - u_l[..., 2]
+        out = np.asarray(-system.g * 0.5 * (u_l[..., 0] + u_r[..., 0]))
+        scale = np.maximum(1.0, np.maximum(np.abs(u_l[..., 2]), np.abs(u_r[..., 2])))
+        jump = ~(np.abs(dsig) < 1e-10 * scale)
+        wl = u_l[jump]
+        f2 = system.flux(np.stack([wl, self.intermediate_state(wl, u_r[jump])]))[..., 1]
+        out[jump] = (f2[0] - f2[1]) / dsig[jump]
+        return out
 
     couplings = {ShallowWaterSystem.name: _minus_gh}
 
@@ -415,15 +413,11 @@ class EquilibriumPath(PathFamily):
         # results use
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
-        if u_l.ndim == 1:
-            w_star = self.intermediate_state(u_l, u_r)
-            out = np.zeros(3)
-            out[0] = u_r[1] - u_l[1]
-            out[1] = system.flux(u_r)[1] - system.flux(w_star)[1]
-            return out
-        return np.stack(
-            [self.closed_form_integral(system, a, b) for a, b in zip(u_l, u_r)]
-        )
+        f2 = system.flux(np.stack([u_r, self.intermediate_state(u_l, u_r)]))[..., 1]
+        out = np.zeros_like(u_l)
+        out[..., 0] = u_r[..., 1] - u_l[..., 1]
+        out[..., 1] = f2[0] - f2[1]
+        return out
 
 
 def path_integral(path, system, u_l, u_r, method="auto", atol=1e-12, rtol=1e-10):

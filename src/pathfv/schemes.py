@@ -126,8 +126,12 @@ class DirichletBoundary:
         self.right = None if right is None else np.asarray(right, dtype=float)
 
     def extend(self, states):
-        lo = states[:1] if self.left is None else self.left[None, :]
-        hi = states[-1:] if self.right is None else self.right[None, :]
+        lo = states[:1] if self.left is None else self.left.reshape(1, -1)
+        hi = states[-1:] if self.right is None else self.right.reshape(1, -1)
+        for side, ghost in (("left", lo), ("right", hi)):
+            if ghost.shape[1] != states.shape[1]:
+                raise DomainError(f"the {side} ghost state has {ghost.shape[1]} "
+                                  f"components, the cells have {states.shape[1]}")
         return np.concatenate([lo, states, hi], axis=0)
 
 
@@ -354,11 +358,8 @@ class GodunovScheme(Scheme):
         URb = UR.reshape(-1, 2)
         mm = np.zeros_like(ULb)
         mp = np.zeros_like(ULb)
-        for i in range(ULb.shape[0]):
-            if (ULb[i] == URb[i]).all():
-                continue
-            fan = solve_riemann(ULb[i], URb[i])
-            mm[i], mp[i] = fan_split_integrals(fan)
+        for i in np.flatnonzero((ULb != URb).any(axis=-1)):
+            mm[i], mp[i] = fan_split_integrals(solve_riemann(ULb[i], URb[i]))
         return mm.reshape(UL.shape), mp.reshape(UR.shape)
 
 
@@ -405,10 +406,10 @@ class GlimmScheme(Scheme):
             shift, xi = 0, theta * grid.dx / dt
         else:
             shift, xi = 1, (theta - 1.0) * grid.dx / dt
-        new = np.empty_like(sol.states)
-        for i in range(grid.m):
-            a, b = ext[i + shift], ext[i + shift + 1]
-            new[i] = a if (a == b).all() else fan_sample(solve_riemann(a, b), xi)
+        left, right = ext[shift:shift + grid.m], ext[shift + 1:shift + grid.m + 1]
+        new = left.copy()
+        for i in np.flatnonzero((left != right).any(axis=-1)):
+            new[i] = fan_sample(solve_riemann(left[i], right[i]), xi)
         return Solution(grid, sol.t + dt, new, sol.n + 1)
 
 

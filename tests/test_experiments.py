@@ -141,6 +141,17 @@ class TestValidation:
             validate_config(cfg)
         assert err.value.field == f"system/{key}"
 
+    @pytest.mark.parametrize("path", ["two_segment", "segments"])
+    def test_a_path_without_shape_parameter_refuses_epsilon(self, path):
+        run_cfg = tiny_run_config(path={"id": path, "epsilon": 0.3})
+        sweep_cfg = tiny_sweep_config()
+        sweep_cfg["path"]["id"] = path
+        sweep_cfg["sweep"]["epsilons"] = [0.0, 0.1]
+        for cfg, field in ((run_cfg, "path/epsilon"), (sweep_cfg, "sweep/epsilons")):
+            with pytest.raises(ConfigError) as err:
+                validate_config(cfg)
+            assert err.value.field == field
+
     def test_sweep_targets_exclusive(self):
         cfg = tiny_sweep_config()
         cfg["sweep"]["xi_targets"] = [-0.2]
@@ -287,6 +298,19 @@ class TestCli:
             bad.write_text(json.dumps(tiny_run_config(**overrides)))
             assert main(["validate", str(bad)]) == 1, overrides
             assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+    def test_epsilon_for_a_path_without_one_exits_1(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(tiny_run_config(path={"id": "two_segment",
+                                                        "epsilon": 0.3})))
+        assert main(["validate", str(bad)]) == 1
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
+        cfg = tiny_sweep_config()
+        cfg["sweep"]["epsilons"] = [0.0, 0.1]
+        bad.write_text(json.dumps(cfg))
+        assert main(["validate", str(bad)]) == 1
+        assert main(["sweep", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_run_and_exit_codes(self, tmp_path):
         cfgfile = tmp_path / "c.json"

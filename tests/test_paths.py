@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathfv import (
+    DomainError,
     EquilibriumPath,
     PathConstructionError,
     SegmentsPath,
@@ -12,14 +15,14 @@ from pathfv import (
     TwoSegmentPath,
     path_integral,
 )
-from pathfv.paths import PATHS
+from pathfv.paths import PATHS, _equilibrium_h
 from pathfv.systems import SYSTEMS
 from conftest import (
     random_shallow_water_states,
     random_simplified_states,
     random_two_layer_states,
 )
-from oracles import dense_path_integral
+from oracles import dense_path_integral, equilibrium_h
 
 G = 9.81
 Q_R = 0.530039370688997
@@ -271,3 +274,90 @@ class TestEquilibriumPath:
         quad = path_integral(self.path, self.sys, a, b, method="quadrature")
         assert np.abs(closed - quad).max() < 1e-10
         assert closed[2] == 0.0
+
+
+def _energy_terms(h_l, q):
+    """a = q^2/(2 g), the critical thickness and E(h_c) - E(h_l) <= 0."""
+    a = q * q / (2.0 * G)
+    h_c = (q * q / G) ** (1.0 / 3.0)
+    return a, h_c, h_c + a / h_c**2 - (h_l + a / h_l**2)
+
+
+@st.composite
+def equilibrium_lanes(draw):
+    """(h_l, q, delta_sigma) off the critical line, jumps of both signs."""
+    h_l = draw(st.floats(0.05, 5.0))
+    froude = draw(st.one_of(st.floats(0.05, 0.8), st.floats(1.25, 5.0)))
+    q = draw(st.sampled_from((-1.0, 1.0))) * froude * h_l * float(np.sqrt(G * h_l))
+    _, _, fall = _energy_terms(h_l, q)
+    # a fall in sigma stops short of the critical energy level
+    ds = draw(st.one_of(st.floats(0.0, 0.95).map(lambda t: t * fall),
+                        st.floats(0.0, 3.0)))
+    return h_l, q, ds
+
+
+def _solve_lanes(lanes):
+    return _equilibrium_h(*(np.array(v) for v in zip(*lanes)), G)
+
+
+class TestBatchedEquilibriumSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(equilibrium_lanes(), min_size=1, max_size=8))
+    def test_each_lane_matches_the_scalar_oracle(self, lanes):
+        for h, (h_l, q, ds) in zip(_solve_lanes(lanes), lanes):
+            ref = equilibrium_h(h_l, q, ds, G)
+            a, h_c, _ = _energy_terms(h_l, q)
+            assert (h >= h_c) == (h_l >= h_c)
+            # NumPy's and Python's powers round differently, so the energy
+            # level may move by an ULP or two; dh = dE / E'(h) carries it
+            cond = max(1.0, (ref + a / ref**2) / (ref * abs(1.0 - 2.0 * a / ref**3)))
+            assert abs(h - ref) <= 4.0 * cond * np.spacing(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(equilibrium_lanes(), min_size=2, max_size=8))
+    def test_a_batch_equals_its_lanes_solved_alone(self, lanes):
+        alone = np.array([_equilibrium_h(*lane, G) for lane in lanes])
+        assert _solve_lanes(lanes).tobytes() == alone.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            # h_l <= 0
+            st.tuples(st.floats(-5.0, 0.0), st.floats(-5.0, 5.0), st.floats(-1.0, 1.0)),
+            # q = 0 and the jump empties the layer
+            st.floats(0.05, 5.0).flatmap(lambda h: st.tuples(
+                st.just(h), st.just(0.0), st.floats(-h - 3.0, -h))),
+            # sigma beyond the critical energy level
+            equilibrium_lanes().map(lambda lane: (
+                lane[0], lane[1], _energy_terms(*lane[:2])[2] - 0.01 - abs(lane[2]))),
+        ),
+        st.lists(equilibrium_lanes(), max_size=4),
+    )
+    def test_bad_lanes_raise_the_oracle_error(self, bad, good):
+        with pytest.raises((DomainError, PathConstructionError)) as want:
+            equilibrium_h(*bad, G)
+        for lanes in ([bad], good + [bad]):
+            with pytest.raises(type(want.value)) as got:
+                _solve_lanes(lanes)
+            assert str(got.value) == str(want.value)
+
+    def test_flux_calls_do_not_grow_with_the_pairs(self, monkeypatch):
+        calls = []
+        flux = ShallowWaterSystem.flux
+
+        def counting(self, w):
+            calls.append(1)
+            return flux(self, w)
+
+        monkeypatch.setattr(ShallowWaterSystem, "flux", counting)
+        system, path = ShallowWaterSystem(G), EquilibriumPath(G)
+        counts = []
+        for n in (1, 10, 100):
+            u_l = np.tile([1.0, 1.0, 0.0], (n, 1))
+            u_r = np.tile([0.9, 1.1, 0.0], (n, 1))
+            u_r[::2, 2] = np.linspace(-0.05, 0.05, len(u_r[::2]))  # some jumps
+            calls.clear()
+            path.closed_form_integral(system, u_l, u_r)
+            path.coupling(system, u_l, u_r)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] <= 2

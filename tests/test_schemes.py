@@ -463,6 +463,13 @@ def test_dirichlet_boundary_fixes_ghost():
     assert np.allclose(ext[-1], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_dirichlet_ghost_state_of_the_wrong_size(side):
+    bc = DirichletBoundary(**{side: np.array([1.0, 0.5, 0.0])})
+    with pytest.raises(DomainError, match=f"the {side} ghost state has 3 components"):
+        bc.extend(np.tile([1.0, 1.0], (4, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Time-step policy: evolve reuses the wave speed each step carries
 
