@@ -69,11 +69,14 @@ class BlowUpError(PathFVError):
 
 
 class RiemannSolutionError(PathFVError):
-    """The exact Riemann solver did not converge; ``residual`` is the last value."""
+    """The exact Riemann solver failed.  ``residual`` is the last residual of
+    an iteration that did not converge; ``index`` the first failing lane of
+    the batch (C order), or the interface when a scheme reports it."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, index=None):
         super().__init__(message)
         self.residual = residual
+        self.index = index
 
 
 class CurveRangeError(PathFVError):

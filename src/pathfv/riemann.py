@@ -17,16 +17,17 @@ Eliminating xi gives, for the forward curve from a left state (h_l, q_l),
 with - for family 1 and + for family 2 (the branch tangent to the matching
 integral curve).  Because the jump conditions are not symmetric in the two
 states, the backward family-2 curve through a right state solves a
-different quadratic; see ``_backward2_q``.
+different quadratic; see ``_wave_curves``.
 
 Admissibility uses the Lax inequalities: along 1-curves lam_1 decreases
 with h, so 1-shocks have increasing thickness and 1-rarefactions
 decreasing thickness (and symmetrically for family 2).
 
 The solution of a Riemann problem is a fan w_l -> w_star -> w_r made of
-one wave per family.  ``solve_riemann`` intersects the forward 1-curve
-from w_l with the backward 2-curve from w_r using a damped 2-D Newton
-iteration with a bracketed scalar fallback.
+one wave per family.  ``solve_riemann`` solves ``(..., 2)`` arrays of
+pairs, one lane each, in one damped Newton iteration over all lanes; a lane
+leaves it when its own test passes, so its result does not depend on the
+rest of the batch.  ``fan_split_integrals`` and ``sample`` take the fan.
 """
 
 import math
@@ -35,10 +36,61 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import CurveRangeError, RiemannSolutionError
+from .errors import CurveRangeError, DomainError, RiemannSolutionError
 from .paths import PathFamily
 
 _TRIV_TOL = 1e-13  # relative scale below which a wave counts as null
+NULL, SHOCK, RAREFACTION = 0, 1, 2  # wave kind codes of a WaveFan
+KINDS = ("null", "shock", "rarefaction")
+_SIDES = np.array([[1.0], [-1.0]])  # h + dh and h - dh in one evaluation
+
+# Every lane of a batch goes through the same sequence of floating-point
+# operations as it would alone.  Powers go through np.float_power, which
+# calls the C library's pow like Python's ``**`` on floats; np.power may use
+# a SIMD pow that rounds differently.
+
+
+def _shock_q(h_l, q_l, h, sign):
+    """q on the forward shock locus from the left state (h_l, q_l) at h;
+    sign -1 for family 1, +1 for family 2."""
+    return q_l * h / h_l + sign * (h - h_l) * np.sqrt(q_l * h * (h + h_l) / (2.0 * h_l))
+
+
+def _curve_anchors(h_l, q_l, h_r, q_r):
+    """The per-lane constants ``_wave_curves`` takes."""
+    return h_l, q_l, np.sqrt(q_l / h_l), h_r, q_r, np.sqrt(q_r / h_r)
+
+
+def _wave_curves(anchors, h):
+    """q on the forward 1-curve from w_l and the backward 2-curve into w_r
+    at thickness h (any extra leading axes), lane by lane, as (q1, q2, bad);
+    ``bad`` marks lanes off either curve's range.  Both anchor states have
+    h > 0 and q >= 0.  The 1-curve is a shock for h >= h_l and a rarefaction
+    below.  On the 2-curve's shock side (h > h_r) the unknown state sits on
+    the LEFT of the jump, so its own q enters the jump condition; eliminating
+    xi leaves
+
+        (h_r/h) q^2 - (2 q_r + (h_r-h)^2 (h_r+h)/2) q + q_r^2 h/h_r = 0
+
+    and the family-2 branch is the root whose slope at h = h_r is lam_2.
+    With positive anchors neither shock branch leaves its range for h > 0.
+    """
+    h_l, q_l, psi_l, h_r, q_r, psi_r = anchors
+    # integral curves: q = h su^2 while su >= 0, which only the 2-curve's
+    # rarefaction side can break
+    su = psi_l - (h - h_l) / 2.0
+    q1 = h * su * su
+    np.copyto(q1, _shock_q(h_l, q_l, h, -1.0), where=h >= h_l)
+    su = psi_r + (h - h_r) / 2.0
+    q2 = h * su * su
+    bad = (su < 0) | (h <= 0)
+    # root of a q^2 - b q + q_r^2/a = 0 with a = h_r/h, b = 2 q_r + t,
+    # t = (h_r-h)^2 (h_r+h)/2.  The discriminant factors as t (4 q_r + t),
+    # which avoids the cancellation in b^2 - 4ac for small jumps.
+    t = 0.5 * np.float_power(h_r - h, 2.0) * (h_r + h)
+    root = np.sqrt(t * (4.0 * q_r + t))
+    np.copyto(q2, (2.0 * q_r + t + root) / (2.0 * (h_r / h)), where=h > h_r)
+    return q1, q2, bad
 
 
 def shock_curve_1(w_l, h_r):
@@ -49,25 +101,21 @@ def shock_curve_1(w_l, h_r):
     conditions and taking the branch tangent to the 1-integral curve.
     Entropy-admissible 1-shocks have h_r > h_l.
     """
-    h_l, q_l = float(w_l[0]), float(w_l[1])
-    return _shock_q_from_left(h_l, q_l, float(h_r), family=1)
+    return _forward_shock(w_l, h_r, -1.0)
 
 
 def shock_curve_2(w_l, h_r):
     """Family-2 branch of the shock locus through the left state ``w_l``."""
-    h_l, q_l = float(w_l[0]), float(w_l[1])
-    return _shock_q_from_left(h_l, q_l, float(h_r), family=2)
+    return _forward_shock(w_l, h_r, 1.0)
 
 
-def _shock_q_from_left(h_l, q_l, h_r, family):
+def _forward_shock(w_l, h_r, sign):
+    h_l, q_l, h_r = float(w_l[0]), float(w_l[1]), float(h_r)
     if h_r <= 0 or h_l <= 0:
         raise CurveRangeError("shock curve requires positive thickness")
-    arg = q_l * h_r * (h_r + h_l) / (2.0 * h_l)
-    if arg < 0:
+    if q_l * h_r * (h_r + h_l) / (2.0 * h_l) < 0:
         raise CurveRangeError("shock curve has no real branch here (q_l < 0)")
-    root = math.sqrt(arg)
-    sign = -1.0 if family == 1 else 1.0
-    return q_l * h_r / h_l + sign * (h_r - h_l) * root
+    return float(_shock_q(h_l, q_l, h_r, sign))
 
 
 def rarefaction_curve(family, w_l, h):
@@ -82,53 +130,10 @@ def rarefaction_curve(family, w_l, h):
     u_l = q_l / h_l
     if u_l < 0:
         raise CurveRangeError("integral curve needs u >= 0 at the anchor state")
-    sign = -1.0 if family == 1 else 1.0
-    su = math.sqrt(u_l) + sign * (h - h_l) / 2.0
+    su = math.sqrt(u_l) + (-1.0 if family == 1 else 1.0) * (h - h_l) / 2.0
     if su < 0:
         raise CurveRangeError("integral curve leaves the state space (u < 0)")
-    return h * su * su
-
-
-def _forward1_q(w_l, h):
-    """Right states reachable from ``w_l`` through an admissible 1-wave."""
-    h_l = w_l[0]
-    if h >= h_l:
-        return _shock_q_from_left(h_l, w_l[1], h, family=1)
-    return rarefaction_curve(1, w_l, h)
-
-
-def _backward2_q(w_r, h):
-    """Left states w of an admissible 2-wave with right state ``w_r``.
-
-    On the shock side (h > h_r) the unknown state sits on the LEFT of the
-    jump, so its own q enters the jump condition; eliminating xi leaves
-
-        (h_r/h) q^2 - (2 q_r + (h_r-h)^2 (h_r+h)/2) q + q_r^2 h/h_r = 0
-
-    and the family-2 branch is the root whose slope at h = h_r is lam_2.
-    """
-    h_r, q_r = w_r[0], w_r[1]
-    if h <= 0:
-        raise CurveRangeError("wave curve requires h > 0")
-    if q_r < 0:
-        raise CurveRangeError("wave curve needs q >= 0 at the anchor state")
-    if h <= h_r:
-        u_r = q_r / h_r
-        su = math.sqrt(u_r) + (h - h_r) / 2.0
-        if su < 0:
-            raise CurveRangeError("integral curve leaves the state space (u < 0)")
-        return h * su * su
-    # shock side: family-2 root of (h_r/h) q^2 - b q + q_r^2 h/h_r = 0 with
-    # b = 2 q_r + t, t = (h_r-h)^2 (h_r+h)/2.  The discriminant factors as
-    # t (4 q_r + t), which avoids the cancellation in b^2 - 4ac for small
-    # jumps.
-    a = h_r / h
-    t = 0.5 * (h_r - h) ** 2 * (h_r + h)
-    b = 2.0 * q_r + t
-    disc = t * (4.0 * q_r + t)
-    if disc < 0:
-        raise CurveRangeError("backward shock branch is complex here")
-    return (b + math.sqrt(disc)) / (2.0 * a)
+    return float(h * su * su)
 
 
 @dataclass(frozen=True)
@@ -149,346 +154,330 @@ class Wave:
 
 @dataclass(frozen=True)
 class WaveFan:
-    """Self-similar solution of a Riemann problem: two waves, one middle state."""
+    """Self-similar solutions of a batch of Riemann problems.
 
-    w_l: tuple
-    w_star: tuple
-    w_r: tuple
-    waves: tuple
+    Each lane has one wave per family and one middle state.  ``w_l``,
+    ``w_star`` and ``w_r`` have shape (..., 2).  ``kind``, ``speed_left``
+    and ``speed_right`` have shape (2, ...), indexed first by family - 1;
+    kinds are coded NULL / SHOCK / RAREFACTION.  After a null 1-wave
+    ``w_star`` is ``w_l``.
+    """
 
-    def validate(self, tol=1e-9):
-        speeds = []
-        for w in self.waves:
-            if w.kind != "null":
-                speeds.extend([w.speed_left, w.speed_right])
-        if any(b < a - tol for a, b in zip(speeds, speeds[1:])):
-            raise RiemannSolutionError(f"wave speeds not ordered: {speeds}")
-        return self
+    w_l: np.ndarray
+    w_star: np.ndarray
+    w_r: np.ndarray
+    kind: np.ndarray
+    speed_left: np.ndarray
+    speed_right: np.ndarray
 
+    def ends(self, family):
+        """(left, right) states of each lane's ``family`` wave, (..., 2)."""
+        if family == 1:
+            return self.w_l, self.w_star
+        null = (self.kind[1] == NULL)[..., None]
+        return np.where(null, self.w_r, self.w_star), self.w_r
 
-def _lam1(h, q):
-    u = q / h
-    return u - h * math.sqrt(u)
-
-
-def _lam2(h, q):
-    u = q / h
-    return u + h * math.sqrt(u)
-
-
-def _classify(h_from, h_to, scale):
-    if abs(h_to - h_from) <= _TRIV_TOL * scale:
-        return "null"
-    return "shock" if h_to > h_from else "rarefaction"
-
-
-def _build_fan(w_l, w_r, h_m, q_m):
-    h_l, q_l = w_l
-    h_r, q_r = w_r
-    scale = max(h_l, h_r, h_m, 1.0)
-    waves = []
-
-    kind1 = _classify(h_l, h_m, scale)
-    if kind1 == "null":
-        s = _lam1(h_l, q_l)
-        waves.append(Wave(1, "null", (h_l, q_l), (h_l, q_l), s, s))
-        h_m, q_m = h_l, q_l
-    elif kind1 == "shock":
-        xi = (q_m - q_l) / (h_m - h_l)
-        waves.append(Wave(1, "shock", (h_l, q_l), (h_m, q_m), xi, xi))
-    else:
-        waves.append(
-            Wave(1, "rarefaction", (h_l, q_l), (h_m, q_m),
-                 _lam1(h_l, q_l), _lam1(h_m, q_m))
+    @property
+    def waves(self):
+        """The two ``Wave`` records of a one-pair fan."""
+        if self.kind.ndim != 1:
+            raise DomainError("waves lists the waves of a one-pair fan only")
+        return tuple(
+            Wave(f + 1, KINDS[self.kind[f]], tuple(map(float, left)),
+                 tuple(map(float, right)), float(self.speed_left[f]),
+                 float(self.speed_right[f]))
+            for f, (left, right) in enumerate(map(self.ends, (1, 2)))
         )
 
-    kind2 = _classify(h_r, h_m, scale)  # backward curve: shock when h_m > h_r
-    if kind2 == "null":
-        s = _lam2(h_r, q_r)
-        waves.append(Wave(2, "null", (h_r, q_r), (h_r, q_r), s, s))
-    elif kind2 == "shock":
-        xi = (q_r - q_m) / (h_r - h_m)
-        waves.append(Wave(2, "shock", (h_m, q_m), (h_r, q_r), xi, xi))
-    else:
-        waves.append(
-            Wave(2, "rarefaction", (h_m, q_m), (h_r, q_r),
-                 _lam2(h_m, q_m), _lam2(h_r, q_r))
-        )
-    return WaveFan((h_l, q_l), (h_m, q_m), (h_r, q_r), tuple(waves)).validate()
+
+def _lam(h, q, sign):
+    """lam_1 (sign -1) or lam_2 (sign +1) = u + sign h sqrt(u)."""
+    u = q / h
+    return u + sign * h * np.sqrt(u)
+
+
+def _lane_error(message, lanes):
+    """RiemannSolutionError naming the first of the failing ``lanes``."""
+    i = int(lanes[0])
+    return RiemannSolutionError(f"{message} (lane {i})", index=i)
+
+
+def _build_fan(shape, w_l, w_r, h_m, q_m, tol=1e-9):
+    """Classify both waves of every lane of the (n, 2) pairs, check that the
+    wave speeds are ordered to within ``tol``, and pack the fan with leading
+    shape ``shape``."""
+    h_l, q_l, h_r, q_r = w_l[:, 0], w_l[:, 1], w_r[:, 0], w_r[:, 1]
+    scale = np.maximum(np.maximum(h_l, h_r), np.maximum(h_m, 1.0))
+    null1 = np.abs(h_m - h_l) <= _TRIV_TOL * scale
+    kind1 = np.where(null1, NULL, np.where(h_m > h_l, SHOCK, RAREFACTION))
+    np.copyto(h_m, h_l, where=null1)
+    np.copyto(q_m, q_l, where=null1)
+    # backward curve: shock when h_m > h_r
+    null2 = np.abs(h_m - h_r) <= _TRIV_TOL * scale
+    kind2 = np.where(null2, NULL, np.where(h_m > h_r, SHOCK, RAREFACTION))
+    # a null wave moves at its state's eigenvalue, a rarefaction spans the
+    # eigenvalues of its ends, a shock moves at its jump speed
+    lam1_l, lam2_r = _lam(h_l, q_l, -1.0), _lam(h_r, q_r, 1.0)
+    sl1, sr1 = lam1_l, np.where(null1, lam1_l, _lam(h_m, q_m, -1.0))
+    sl2, sr2 = np.where(null2, lam2_r, _lam(h_m, q_m, 1.0)), lam2_r
+    xi1 = (q_m - q_l) / (h_m - h_l)
+    xi2 = (q_r - q_m) / (h_r - h_m)
+    for kind, xi, speeds in ((kind1, xi1, (sl1, sr1)), (kind2, xi2, (sl2, sr2))):
+        for s in speeds:
+            np.copyto(s, xi, where=kind == SHOCK)
+    # the non-null waves' speeds, read left to right, must not decrease
+    on1, on2 = ~null1, ~null2
+    disordered = (on1 & (sr1 < sl1 - tol)) | (on2 & (sr2 < sl2 - tol)) | (
+        on1 & on2 & (sl2 < sr1 - tol))
+    if disordered.any():
+        raise _lane_error("wave speeds not ordered", np.flatnonzero(disordered))
+    w_star = np.empty_like(w_l)
+    w_star[:, 0], w_star[:, 1] = h_m, q_m
+    states, per_family = shape + (2,), (2,) + shape
+    return WaveFan(w_l.reshape(states), w_star.reshape(states), w_r.reshape(states),
+                   np.array((kind1, kind2)).reshape(per_family),
+                   np.array((sl1, sl2)).reshape(per_family),
+                   np.array((sr1, sr2)).reshape(per_family))
 
 
 def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
     """Intersect the forward 1-curve from w_l with the backward 2-curve to w_r.
 
-    Damped 2-D Newton on (h, q) starting from the midpoint, halving the step
-    until the residual decreases; falls back to a bracketed scalar solve in h
-    when Newton stalls.  Raises ``RiemannSolutionError`` with the last
-    residual if both fail.
+    ``w_l`` and ``w_r`` broadcast to (..., 2), one Riemann problem per lane.
+    Damped 2-D Newton on (h, q) from the midpoint (from w_l where that is
+    off the curves), halving the step until the residual decreases; lanes
+    where Newton stalls fall back to a bracketed scalar solve in h.  Raises
+    ``RiemannSolutionError`` with the first failing lane (C order) in
+    ``index``: h <= 0 or q < 0, no admissible start, both solves failing
+    (with the last residual), or disordered wave speeds.
     """
-    h_l, q_l = float(w_l[0]), float(w_l[1])
-    h_r, q_r = float(w_r[0]), float(w_r[1])
-    scale = max(abs(q_l), abs(q_r), 1.0)
-    if abs(h_l - h_r) <= _TRIV_TOL * max(h_l, h_r) and abs(q_l - q_r) <= _TRIV_TOL * scale:
-        return _build_fan((h_l, q_l), (h_r, q_r), h_l, q_l)
-
-    def residual(h, q):
-        return (q - _forward1_q((h_l, q_l), h), q - _backward2_q((h_r, q_r), h))
-
-    h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
-    try:
-        r1, r2 = residual(h, q)
-    except CurveRangeError:
-        h, q = h_l, q_l
-        r1, r2 = residual(h, q)
-    rnorm = max(abs(r1), abs(r2))
-    converged = rnorm <= tol * scale
-    for _ in range(max_iter):
-        if converged:
-            break
-        # finite-difference Jacobian in h; dq column is (1, 1)
-        dh = 1e-7 * max(h, 1.0)
-        try:
-            p1, p2 = residual(h + dh, q)
-            m1, m2 = residual(h - dh, q)
-        except CurveRangeError:
-            break
-        j11 = (p1 - m1) / (2.0 * dh)
-        j21 = (p2 - m2) / (2.0 * dh)
-        det = j11 - j21
-        if det == 0.0:
-            break
-        # solve [[j11, 1], [j21, 1]] (dh, dq) = -(r1, r2)
-        step_h = -(r1 - r2) / det
-        step_q = -(r1 + j11 * step_h)
-        lam = 1.0
-        improved = False
-        for _ in range(40):
-            h_new, q_new = h + lam * step_h, q + lam * step_q
-            if h_new > 0:
-                try:
-                    n1, n2 = residual(h_new, q_new)
-                except CurveRangeError:
-                    lam *= 0.5
-                    continue
-                if max(abs(n1), abs(n2)) < rnorm:
-                    h, q, r1, r2 = h_new, q_new, n1, n2
-                    rnorm = max(abs(n1), abs(n2))
-                    improved = True
+    w_l, w_r = np.broadcast_arrays(np.asarray(w_l, dtype=float),
+                                   np.asarray(w_r, dtype=float))
+    shape = w_l.shape[:-1]
+    w_l, w_r = np.array(w_l).reshape(-1, 2), np.array(w_r).reshape(-1, 2)
+    h_l, q_l, h_r, q_r = w_l[:, 0], w_l[:, 1], w_r[:, 0], w_r[:, 1]
+    outside = ~((h_l > 0) & (q_l >= 0) & (h_r > 0) & (q_r >= 0))
+    if outside.any():
+        raise _lane_error("state outside the wave-curve domain h > 0, q >= 0",
+                          np.flatnonzero(outside))
+    scale = np.maximum(np.maximum(np.abs(q_l), np.abs(q_r)), 1.0)
+    trivial = (np.abs(h_l - h_r) <= _TRIV_TOL * np.maximum(h_l, h_r)) & (
+        np.abs(q_l - q_r) <= _TRIV_TOL * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        anchors = _curve_anchors(h_l, q_l, h_r, q_r)
+        h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
+        q1, q2, bad = _wave_curves(anchors, h)
+        bad &= ~trivial  # those need no iteration
+        if bad.any():
+            np.copyto(h, h_l, where=bad)
+            np.copyto(q, q_l, where=bad)
+            q1, q2, again = _wave_curves(anchors, h)
+            if (bad & again).any():
+                raise _lane_error("no admissible start for the Newton iteration",
+                                  np.flatnonzero(bad & again))
+        r1, r2 = q - q1, q - q2
+        rn = np.maximum(np.abs(r1), np.abs(r2))
+        tol_scale = tol * scale
+        active = ~trivial & ~(rn <= tol_scale)
+        for _ in range(max_iter):
+            if not active.any():
+                break
+            # finite-difference Jacobian in h; dq column is (1, 1)
+            dh = 1e-7 * np.maximum(h, 1.0)
+            f1, f2, bad = _wave_curves(anchors, h + dh * _SIDES)
+            dh *= 2.0
+            j11 = ((q - f1[0]) - (q - f1[1])) / dh
+            j21 = ((q - f2[0]) - (q - f2[1])) / dh
+            det = j11 - j21
+            # solve [[j11, 1], [j21, 1]] (dh, dq) = -(r1, r2)
+            step_h = -(r1 - r2) / det
+            step_q = -(r1 + j11 * step_h)
+            searching = active & ~(bad[0] | bad[1]) & (det != 0.0)
+            improved = np.zeros_like(active)
+            lam = 1.0
+            for _ in range(40):
+                h_new, q_new = h + lam * step_h, q + lam * step_q
+                n1, n2, bad = _wave_curves(anchors, h_new)
+                n1, n2 = q_new - n1, q_new - n2
+                n_rn = np.maximum(np.abs(n1), np.abs(n2))
+                take = searching & ~bad & (n_rn < rn)
+                for old, new in ((h, h_new), (q, q_new), (r1, n1), (r2, n2), (rn, n_rn)):
+                    np.copyto(old, new, where=take)
+                improved |= take
+                searching &= ~take
+                if not searching.any():
                     break
-            lam *= 0.5
-        if not improved:
-            break
-        converged = rnorm <= tol * scale
+                lam *= 0.5
+            active = improved & ~(rn <= tol_scale)
 
-    if not converged and rnorm > 1e-10 * scale:
-        h = _bisect_intersection((h_l, q_l), (h_r, q_r))
-        q = _forward1_q((h_l, q_l), h)
-        r1, r2 = residual(h, q)
-        rnorm = max(abs(r1), abs(r2))
-        if rnorm > 1e-9 * scale:
-            raise RiemannSolutionError(
-                "Riemann intersection did not converge", residual=rnorm
-            )
-    return _build_fan((h_l, q_l), (h_r, q_r), h, q)
+        np.copyto(h, h_l, where=trivial)
+        np.copyto(q, q_l, where=trivial)
+        for i in np.flatnonzero(~trivial & ~(rn <= tol_scale) & (rn > 1e-10 * scale)):
+            lane = tuple(v[i] for v in anchors)
+            h[i] = _bisect_intersection(lane, i)
+            q1, q2, _ = _wave_curves(lane, h[i:i + 1])
+            res = float(max(abs(q1 - q1), abs(q1 - q2))[0])
+            if res > 1e-9 * scale[i]:
+                raise RiemannSolutionError(
+                    f"Riemann intersection did not converge (lane {i})",
+                    residual=res, index=i)
+            q[i] = q1[0]
+        # the speeds at the middle state are computed on every lane
+        return _build_fan(shape, w_l, w_r, h, q)
 
 
-def _bisect_intersection(w_l, w_r):
+def _bisect_intersection(anchors, lane):
+    """Root in h of the gap between the two wave curves of one lane, by
+    ``brentq`` on the first sign change of a geometric grid whose bracket
+    does not span an invalid region."""
     def gap(h):
-        return _forward1_q(w_l, h) - _backward2_q(w_r, h)
+        q1, q2, bad = _wave_curves(anchors, np.array([h]))
+        if bad[0]:
+            raise RiemannSolutionError(
+                f"wave curve evaluated out of range (lane {lane})", index=lane)
+        return float(q1[0] - q2[0])
 
-    h_lo = None
-    g_lo = None
-    grid = np.geomspace(1e-4 * min(w_l[0], w_r[0]), 50.0 * max(w_l[0], w_r[0]), 400)
-    for h in grid:
-        try:
-            g = gap(h)
-        except CurveRangeError:
-            h_lo = None  # bracket must not span an invalid region
-            continue
-        if h_lo is not None and g_lo * g <= 0.0:
-            return brentq(gap, h_lo, h, xtol=1e-15, rtol=1e-15)
-        h_lo, g_lo = h, g
-    raise RiemannSolutionError("no sign change found for the wave-curve gap")
+    h_l, h_r = anchors[0], anchors[3]
+    grid = np.geomspace(1e-4 * min(h_l, h_r), 50.0 * max(h_l, h_r), 400)
+    q1, q2, bad = _wave_curves(anchors, grid)
+    g = q1 - q2
+    pair = ~bad[:-1] & ~bad[1:] & (g[:-1] * g[1:] <= 0.0)
+    if not pair.any():
+        raise RiemannSolutionError(
+            f"no sign change found for the wave-curve gap (lane {lane})", index=lane)
+    k = int(np.argmax(pair))
+    return brentq(gap, grid[k], grid[k + 1], xtol=1e-15, rtol=1e-15)
 
 
 def _rarefaction_state_at(anchor, family, xi):
-    """State inside a fan of ``family`` anchored at ``anchor`` where lam = xi.
+    """State inside a fan of ``family`` anchored at ``anchor`` (..., 2) where
+    lam = xi, as (h, q).
 
     Along family 1, with psi = sqrt(u) and kap = h_a + 2 psi_a,
     lam_1 = 3 psi^2 - kap psi, inverted by the quadratic formula (taking the
     branch continuous with the anchor); family 2 is analogous with
     kap2 = 2 psi_a - h_a and lam_2 = 3 psi^2 - kap2 psi.
     """
-    h_a, q_a = anchor
-    psi_a = math.sqrt(q_a / h_a)
-    if family == 1:
-        kap = h_a + 2.0 * psi_a
-        disc = kap * kap + 12.0 * xi
-        psi = (kap + math.sqrt(max(disc, 0.0))) / 6.0
-        h = h_a + 2.0 * (psi_a - psi)
-    else:
-        kap = 2.0 * psi_a - h_a
-        disc = kap * kap + 12.0 * xi
-        psi = (kap + math.sqrt(max(disc, 0.0))) / 6.0
-        h = h_a + 2.0 * (psi - psi_a)
-    return (h, h * psi * psi)
+    h_a, q_a = anchor[..., 0], anchor[..., 1]
+    psi_a = np.sqrt(q_a / h_a)
+    kap = h_a + 2.0 * psi_a if family == 1 else 2.0 * psi_a - h_a
+    psi = (kap + np.sqrt(np.maximum(kap * kap + 12.0 * xi, 0.0))) / 6.0
+    h = h_a + 2.0 * ((psi_a - psi) if family == 1 else (psi - psi_a))
+    return h, h * psi * psi
+
+
+def _flat(fan):
+    """The fan's states as (n, 2) and its per-family fields as (2, n)."""
+    return ([w.reshape(-1, 2) for w in (fan.w_l, fan.w_star, fan.w_r)]
+            + [v.reshape(2, -1) for v in (fan.kind, fan.speed_left, fan.speed_right)])
 
 
 def sample(fan, xi):
-    """Self-similar evaluation of the fan at x/t = xi, returned as ndarray."""
-    w1, w2 = fan.waves
-    if w1.kind != "null":
-        if xi < w1.speed_left:
-            return np.array(fan.w_l, dtype=float)
-        if w1.kind == "rarefaction" and xi < w1.speed_right:
-            return np.array(_rarefaction_state_at(fan.w_l, 1, xi))
-        if w1.kind == "shock" and xi == w1.speed_left:
-            return np.array(fan.w_star, dtype=float)
-    else:
-        if xi < w1.speed_left:
-            return np.array(fan.w_l, dtype=float)
-    if w2.kind != "null":
-        if xi < w2.speed_left:
-            return np.array(fan.w_star, dtype=float)
-        if w2.kind == "rarefaction" and xi < w2.speed_right:
-            return np.array(_rarefaction_state_at(fan.w_r, 2, xi))
-    return np.array(fan.w_r, dtype=float)
+    """Self-similar evaluation of every lane of the fan at x/t = xi.
 
-
-def _rarefaction_arc_integral(anchor, family, h_a, h_b):
-    """int A dPhi along a rarefaction arc, in closed form.
-
-    Along an integral curve dq = lam dh and A dPhi = lam dPhi, so the first
-    component is q(h_b) - q(h_a) and the second int lam^2 dh.  With
-    h = h(psi) linear in psi = sqrt(u) the latter is a polynomial integral.
+    Returns the states, shape (..., 2).
     """
-    h_anchor, q_anchor = anchor
-    psi_anchor = math.sqrt(q_anchor / h_anchor)
-    # family 1: psi = psi_anchor - (h - h_anchor)/2 ; family 2: + (h - h_anchor)/2
-    if family == 1:
-        psi_a = psi_anchor - (h_a - h_anchor) / 2.0
-        psi_b = psi_anchor - (h_b - h_anchor) / 2.0
-        kap = h_anchor + 2.0 * psi_anchor
+    w_l, w_star, w_r, (k1, k2), (sl1, sl2), (sr1, sr2) = _flat(fan)
+    out = w_r.copy()
+    # the first case that holds wins: write them from the last to the first
+    inside = (k2 == RAREFACTION) & (xi < sr2)
+    if inside.any():
+        out[inside, 0], out[inside, 1] = _rarefaction_state_at(w_r[inside], 2, xi)
+    middle = ((k2 != NULL) & (xi < sl2)) | ((k1 == SHOCK) & (xi == sl1))
+    np.copyto(out, w_star, where=middle[:, None])
+    inside = (k1 == RAREFACTION) & (xi < sr1)
+    if inside.any():
+        out[inside, 0], out[inside, 1] = _rarefaction_state_at(w_l[inside], 1, xi)
+    np.copyto(out, w_l, where=(xi < sl1)[:, None])
+    return out.reshape(fan.w_l.shape)
 
-        def anti(psi):
-            # integral of -2 (3 psi^2 - kap psi)^2 dpsi
-            return -2.0 * (9.0 * psi**5 / 5.0 - 1.5 * kap * psi**4 + kap * kap * psi**3 / 3.0)
 
-    else:
-        psi_a = psi_anchor + (h_a - h_anchor) / 2.0
-        psi_b = psi_anchor + (h_b - h_anchor) / 2.0
-        kap = h_anchor - 2.0 * psi_anchor  # lam_2 = 3 psi^2 + kap psi
-
-        def anti(psi):
-            # integral of +2 (3 psi^2 + kap psi)^2 dpsi
-            return 2.0 * (9.0 * psi**5 / 5.0 + 1.5 * kap * psi**4 + kap * kap * psi**3 / 3.0)
-
-    q_a = h_a * psi_a * psi_a
-    q_b = h_b * psi_b * psi_b
-    return np.array([q_b - q_a, anti(psi_b) - anti(psi_a)])
+def _rarefaction_primitive(anchor, family, h):
+    """Antiderivative P(h), shape (..., n, 2), of A dPhi along the integral
+    curve through each lane's ``anchor`` (n, 2): a rarefaction arc from h_a
+    to h_b contributes P(h_b) - P(h_a).  Along an integral curve dq = lam dh
+    and A dPhi = lam dPhi, so P = (q, int lam^2 dh), a polynomial in
+    psi = sqrt(u) since h is linear in psi.
+    """
+    h_anchor, q_anchor = anchor[:, 0], anchor[:, 1]
+    psi_anchor = np.sqrt(q_anchor / h_anchor)
+    sign = -1.0 if family == 1 else 1.0
+    # psi = psi_anchor -+ (h - h_anchor)/2 and lam = 3 psi^2 -+ kap psi, with
+    # kap = h_anchor +- 2 psi_anchor; the integral of +-2 lam^2 dpsi is
+    psi = psi_anchor + sign * (h - h_anchor) / 2.0
+    kap = h_anchor - sign * 2.0 * psi_anchor
+    p5, p4, p3 = (np.float_power(psi, k) for k in (5.0, 4.0, 3.0))
+    anti = 2.0 * sign * (9.0 * p5 / 5.0 + sign * (1.5 * kap * p4) + kap * kap * p3 / 3.0)
+    return np.moveaxis(np.array((h * psi * psi, anti)), 0, -1)
 
 
 def fan_split_integrals(fan):
-    """Left- and right-going parts of the path integral across a wave fan.
+    """Left- and right-going parts of the path integral across each fan.
 
     Shock arcs contribute xi * (jump), written as (dq, xi dq) so the
     conservative component telescopes exactly; rarefaction arcs use the
     closed form above, split at the sonic state when the fan straddles
-    x/t = 0.  A stationary shock contributes nothing either way.
+    x/t = 0.  A stationary shock contributes nothing either way.  Returns
+    (minus, plus), each shaped like ``fan.w_l``.
     """
-    minus = np.zeros(2)
-    plus = np.zeros(2)
-    for w in fan.waves:
-        if w.kind == "null":
+    w_l, w_star, w_r, kinds, s_left, s_right = _flat(fan)
+    minus = np.zeros_like(w_l)
+    plus = np.zeros_like(w_l)
+    # family 1 runs w_l -> w_star, family 2 w_star -> w_r (a null 2-wave
+    # contributes nothing, whatever its left state)
+    for family, left, right, anchor in ((1, w_l, w_star, w_l), (2, w_star, w_r, w_r)):
+        kind, sl, sr = kinds[family - 1], s_left[family - 1], s_right[family - 1]
+        dq = right[:, 1] - left[:, 1]
+        jump = np.array((dq, sl * dq)).T
+        shock = kind == SHOCK
+        minus += np.where((shock & (sl < 0.0))[:, None], jump, 0.0)
+        plus += np.where((shock & ~(sl < 0.0))[:, None], jump, 0.0)
+        rar = kind == RAREFACTION
+        if not rar.any():
             continue
-        if w.kind == "shock":
-            dq = w.right[1] - w.left[1]
-            contrib = np.array([dq, w.speed * dq])
-            if w.speed < 0.0:
-                minus += contrib
-            else:
-                plus += contrib
-            continue
-        anchor = fan.w_l if w.family == 1 else fan.w_r
-        h_a, h_b = w.left[0], w.right[0]
-        if w.speed_right <= 0.0:
-            minus += _rarefaction_arc_integral(anchor, w.family, h_a, h_b)
-        elif w.speed_left >= 0.0:
-            plus += _rarefaction_arc_integral(anchor, w.family, h_a, h_b)
-        else:
-            h_sonic = _rarefaction_state_at(anchor, w.family, 0.0)[0]
-            minus += _rarefaction_arc_integral(anchor, w.family, h_a, h_sonic)
-            plus += _rarefaction_arc_integral(anchor, w.family, h_sonic, h_b)
-    return minus, plus
+        to_minus = rar & (sr <= 0.0)
+        to_plus = rar & ~to_minus & (sl >= 0.0)
+        split = (rar & ~to_minus & ~to_plus)[:, None]
+        h_sonic = _rarefaction_state_at(anchor, family, 0.0)[0]
+        p_a, p_s, p_b = _rarefaction_primitive(
+            anchor, family, np.array((left[:, 0], h_sonic, right[:, 0])))
+        minus += np.where(to_minus[:, None] | split, np.where(split, p_s, p_b) - p_a, 0.0)
+        plus += np.where(to_plus[:, None] | split, p_b - np.where(split, p_s, p_a), 0.0)
+    return minus.reshape(fan.w_l.shape), plus.reshape(fan.w_l.shape)
 
 
 class FanPath(PathFamily):
-    """Path following the wave arcs of a fan (shocks via the two-segment path,
-    rarefactions along integral curves).  Built for one fixed pair of states;
-    used to cross-check fan integrals by generic quadrature, so it declares
-    no couplings."""
+    """Path following the wave arcs of a one-pair fan (shocks via the
+    two-segment path, rarefactions along integral curves).  Used to
+    cross-check fan integrals by generic quadrature, so it declares no
+    couplings."""
 
     name = "fan"
 
     def __init__(self, fan):
         legs = []
         for w in fan.waves:
-            if w.kind == "null":
-                continue
             if w.kind == "shock":
-                legs.append(("seg_h", w.left, w.right))
-                legs.append(("seg_q", w.left, w.right))
-            else:
+                legs += [("seg_h", w.left, w.right), ("seg_q", w.left, w.right)]
+            elif w.kind == "rarefaction":
                 anchor = fan.w_l if w.family == 1 else fan.w_r
                 legs.append(("rar", (anchor, w.family), (w.left[0], w.right[0])))
-        if not legs:
-            legs = [("seg_h", fan.w_l, fan.w_r), ("seg_q", fan.w_l, fan.w_r)]
-        self._legs = legs
-        self.breakpoints = tuple(np.linspace(0.0, 1.0, len(legs) + 1))
+        self._legs = legs or [("seg_h", fan.w_l, fan.w_r), ("seg_q", fan.w_l, fan.w_r)]
+        self.breakpoints = tuple(np.linspace(0.0, 1.0, len(self._legs) + 1))
         self.fan = fan
 
-    def _leg_eval(self, leg, t):
+    @staticmethod
+    def _leg(leg, t):
+        """Point and d/dt tangent of one leg at its own parameter t."""
         kind, a, b = leg
         if kind == "seg_h":
             (h0, q0), (h1, _q1) = a, b
-            return np.stack([h0 + t * (h1 - h0), np.full_like(t, q0)], axis=-1)
+            return ([h0 + t * (h1 - h0), np.full_like(t, q0)],
+                    [np.full_like(t, h1 - h0), np.zeros_like(t)])
         if kind == "seg_q":
             (_h0, q0), (h1, q1) = a, b
-            return np.stack([np.full_like(t, h1), q0 + t * (q1 - q0)], axis=-1)
-        (anchor, family), (h_a, h_b) = a, b
-        h = h_a + t * (h_b - h_a)
-        psi_anchor = math.sqrt(anchor[1] / anchor[0])
-        if family == 1:
-            psi = psi_anchor - (h - anchor[0]) / 2.0
-        else:
-            psi = psi_anchor + (h - anchor[0]) / 2.0
-        return np.stack([h, h * psi * psi], axis=-1)
-
-    def _by_leg(self, s, leg_fn, scale):
-        """``leg_fn`` times ``scale`` on each leg's share of s, mapped to the
-        leg's own parameter t in [0, 1]."""
-        s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s)
-        out = np.empty(flat.shape + (2,))
-        nlegs = len(self._legs)
-        idx = np.minimum((flat * nlegs).astype(int), nlegs - 1)
-        for i, leg in enumerate(self._legs):
-            m = idx == i
-            if np.any(m):
-                out[m] = leg_fn(leg, flat[m] * nlegs - i) * scale
-        return out if s.ndim else out[0]
-
-    def evaluate(self, s, u_l, u_r):
-        return self._by_leg(s, self._leg_eval, 1.0)
-
-    def _leg_tangent(self, leg, t):
-        kind, a, b = leg
-        if kind == "seg_h":
-            (h0, _q0), (h1, _q1) = a, b
-            return np.stack([np.full_like(t, h1 - h0), np.zeros_like(t)], axis=-1)
-        if kind == "seg_q":
-            (_h0, q0), (_h1, q1) = a, b
-            return np.stack([np.zeros_like(t), np.full_like(t, q1 - q0)], axis=-1)
+            return ([np.full_like(t, h1), q0 + t * (q1 - q0)],
+                    [np.zeros_like(t), np.full_like(t, q1 - q0)])
         (anchor, family), (h_a, h_b) = a, b
         h = h_a + t * (h_b - h_a)
         psi_anchor = math.sqrt(anchor[1] / anchor[0])
@@ -499,7 +488,24 @@ class FanPath(PathFamily):
             psi = psi_anchor + (h - anchor[0]) / 2.0
             lam = psi * psi + h * psi
         dh = np.full_like(t, h_b - h_a)
-        return np.stack([dh, lam * dh], axis=-1)
+        return [h, h * psi * psi], [dh, lam * dh]
+
+    def _by_leg(self, s, part, scale):
+        """One ``part`` (0 point, 1 tangent) of each leg times ``scale`` on
+        the leg's share of s, mapped to the leg's own parameter t in [0, 1]."""
+        s = np.asarray(s, dtype=float)
+        flat = np.atleast_1d(s)
+        out = np.empty(flat.shape + (2,))
+        nlegs = len(self._legs)
+        idx = np.minimum((flat * nlegs).astype(int), nlegs - 1)
+        for i, leg in enumerate(self._legs):
+            m = idx == i
+            if np.any(m):
+                out[m] = np.stack(self._leg(leg, flat[m] * nlegs - i)[part], axis=-1) * scale
+        return out if s.ndim else out[0]
+
+    def evaluate(self, s, u_l, u_r):
+        return self._by_leg(s, 0, 1.0)
 
     def tangent(self, s, u_l, u_r):
-        return self._by_leg(s, self._leg_tangent, len(self._legs))
+        return self._by_leg(s, 1, len(self._legs))

@@ -41,6 +41,7 @@ from .errors import (
     DomainError,
     EigenDecompositionError,
     HyperbolicityLossError,
+    RiemannSolutionError,
     RoeConstructionError,
 )
 from .paths import TwoSegmentPath
@@ -169,8 +170,14 @@ def step(scheme, sol, dt, bc=None, lambda_max=None):
 
 
 def _check_cfl(scheme, sol, dt, lambda_max):
-    """Refuse dt <= 0 and dt above the scheme's CFL bound (wave speed from the
-    states if ``lambda_max`` is None)."""
+    """Refuse states with the wrong component count for the scheme's system,
+    dt <= 0 and dt above the scheme's CFL bound (wave speed from the states
+    if ``lambda_max`` is None)."""
+    ncomp = len(scheme.system.components)
+    if sol.states.shape[1:] != (ncomp,):
+        raise DomainError(
+            f"the solution has {sol.states.shape[-1]} components, the "
+            f"{scheme.system.name} system has {ncomp}")
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     if lambda_max is None:
@@ -336,6 +343,18 @@ class ModifiedLaxFriedrichsScheme(Scheme):
         return mm, mp
 
 
+def _fans(left, right, lanes, first=0):
+    """Exact fans of the interfaces ``lanes`` (pairs of rows of ``left`` and
+    ``right``) in one batched solve.  A solver error is raised again with
+    its interface, ``first`` + the lane's row, in ``index``."""
+    try:
+        return solve_riemann(left[lanes], right[lanes])
+    except RiemannSolutionError as exc:
+        i = first + int(lanes[exc.index])
+        raise RiemannSolutionError(f"at interface {i}: {exc}", residual=exc.residual,
+                                   index=i) from exc
+
+
 class GodunovScheme(Scheme):
     """Exact-Riemann fluctuations for the 2x2 system (needs CFL <= 1/2).
 
@@ -358,8 +377,8 @@ class GodunovScheme(Scheme):
         URb = UR.reshape(-1, 2)
         mm = np.zeros_like(ULb)
         mp = np.zeros_like(ULb)
-        for i in np.flatnonzero((ULb != URb).any(axis=-1)):
-            mm[i], mp[i] = fan_split_integrals(solve_riemann(ULb[i], URb[i]))
+        lanes = np.flatnonzero((ULb != URb).any(axis=-1))
+        mm[lanes], mp[lanes] = fan_split_integrals(_fans(ULb, URb, lanes))
         return mm.reshape(UL.shape), mp.reshape(UR.shape)
 
 
@@ -408,8 +427,8 @@ class GlimmScheme(Scheme):
             shift, xi = 1, (theta - 1.0) * grid.dx / dt
         left, right = ext[shift:shift + grid.m], ext[shift + 1:shift + grid.m + 1]
         new = left.copy()
-        for i in np.flatnonzero((left != right).any(axis=-1)):
-            new[i] = fan_sample(solve_riemann(left[i], right[i]), xi)
+        lanes = np.flatnonzero((left != right).any(axis=-1))
+        new[lanes] = fan_sample(_fans(left, right, lanes, first=shift), xi)
         return Solution(grid, sol.t + dt, new, sol.n + 1)
 
 

@@ -13,6 +13,7 @@ from pathfv import (
     HyperbolicityLossError,
     LaxFriedrichsScheme,
     ModifiedLaxFriedrichsScheme,
+    RiemannSolutionError,
     RoeScheme,
     SegmentsPath,
     ShallowWaterSystem,
@@ -33,6 +34,8 @@ from conftest import (
     random_simplified_states,
     random_two_layer_states,
 )
+import oracles
+from pathfv.experiments import build_components, initial_solution, load_config
 from pathfv.paths import PATHS
 from pathfv.systems import SYSTEMS
 from oracles import lf_single_interface_update, roe_fluctuations
@@ -453,6 +456,85 @@ def test_evolve_hits_snapshot_times_exactly():
     scheme = RoeScheme(SIMPLE, TwoSegmentPath())
     snaps = evolve(scheme, sol, 0.05, 0.9, snapshot_times=[0.02, 0.035, 0.05])
     assert [s.t for s in snaps] == pytest.approx([0.02, 0.035, 0.05], abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Exact-Riemann schemes: one batched solve per step, lane for lane equal to
+# a per-interface loop over the scalar oracle
+
+
+@pytest.fixture(scope="module")
+def developed_rmp():
+    """The built-in simplified_rmp run (Godunov, 4000 cells) at t = 0.1: a
+    smeared shock with about a hundred non-trivial interfaces."""
+    cfg = load_config("simplified_rmp")
+    system, _, scheme = build_components(cfg)
+    sol = initial_solution(cfg, system, cfg["grid"]["cells"])
+    return evolve(scheme, sol, 0.1, cfg["cfl"])[-1]
+
+
+def test_godunov_fluctuations_equal_the_oracle_loop(developed_rmp):
+    ext = FreeBoundary().extend(developed_rmp.states)
+    UL, UR = ext[:-1], ext[1:]
+    lanes = np.flatnonzero((UL != UR).any(axis=-1))
+    assert lanes.size > 50
+    mm, mp = GodunovScheme(SIMPLE).fluctuations(UL, UR, developed_rmp.grid.dx, 1e-4)
+    ref_m, ref_p = np.zeros_like(UL), np.zeros_like(UL)
+    for i in lanes:
+        ref_m[i], ref_p[i] = oracles.fan_split_integrals(oracles.solve_riemann(UL[i], UR[i]))
+    assert np.array_equal(mm, ref_m) and np.array_equal(mp, ref_p)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_glimm_advance_equals_the_oracle_loop(developed_rmp, seed):
+    sol = developed_rmp
+    dt = cfl_dt(SIMPLE, sol, 0.5, max_cfl=0.5)
+    new = GlimmScheme(SIMPLE, seed=seed).advance(sol, dt)
+    # the same step by hand: one theta, one sampled fan per non-trivial cell
+    theta = VanDerCorputSampler(offset=seed).take()
+    dx, m = sol.grid.dx, sol.grid.m
+    shift, xi = (0, theta * dx / dt) if theta < 0.5 else (1, (theta - 1.0) * dx / dt)
+    ext = FreeBoundary().extend(sol.states)
+    left, right = ext[shift:shift + m], ext[shift + 1:shift + m + 1]
+    ref = left.copy()
+    lanes = np.flatnonzero((left != right).any(axis=-1))
+    assert lanes.size > 50
+    for i in lanes:
+        ref[i] = oracles.sample(oracles.solve_riemann(left[i], right[i]), xi)
+    assert np.array_equal(new.states, ref)
+
+
+def test_godunov_names_the_interface_of_a_bad_state():
+    UL = np.tile([1.0, 1.0], (6, 1))
+    UR = UL.copy()
+    UR[1] = [1.2, 0.9]
+    UR[4] = [1.1, -0.2]  # q < 0: off the wave curves
+    with pytest.raises(RiemannSolutionError) as err:
+        GodunovScheme(SIMPLE).fluctuations(UL, UR, 0.1, 0.01)
+    assert err.value.index == 4
+    assert "interface 4" in str(err.value)
+
+
+def test_glimm_names_the_interface_of_a_bad_state():
+    states = np.tile([1.0, 1.0], (8, 1))
+    states[5] = [1.1, -0.2]
+    sol = make_solution(states)
+    scheme = GlimmScheme(SIMPLE)  # theta = 1/2: cells sample their right interface
+    with pytest.raises(RiemannSolutionError) as err:
+        scheme.advance(sol, 1e-3, lambda_max=1.0)
+    # cell 4 meets the bad state first, at interface 5 of the extended mesh
+    assert err.value.index == 5
+    assert "interface 5" in str(err.value)
+
+
+@pytest.mark.parametrize("scheme", [GodunovScheme(SIMPLE), GlimmScheme(SIMPLE),
+                                    RoeScheme(SW, SegmentsPath())],
+                         ids=lambda s: s.name)
+def test_solution_with_the_wrong_component_count_is_refused(scheme):
+    ncomp = len(scheme.system.components)
+    sol = make_solution(np.tile(np.arange(1.0, ncomp + 2.0), (6, 1)))
+    with pytest.raises(DomainError, match=f"{ncomp + 1} components.*has {ncomp}"):
+        scheme.advance(sol, 1e-3, lambda_max=1.0)
 
 
 def test_dirichlet_boundary_fixes_ghost():
