@@ -42,12 +42,11 @@ from .paths import PathFamily
 _TRIV_TOL = 1e-13  # relative scale below which a wave counts as null
 NULL, SHOCK, RAREFACTION = 0, 1, 2  # wave kind codes of a WaveFan
 KINDS = ("null", "shock", "rarefaction")
-_SIDES = np.array([[1.0], [-1.0]])  # h + dh and h - dh in one evaluation
+_STENCIL = np.array([[0.0], [1.0], [-1.0]])  # h, h + dh, h - dh
 
-# Every lane of a batch goes through the same sequence of floating-point
-# operations as it would alone.  Powers go through np.float_power, which
-# calls the C library's pow like Python's ``**`` on floats; np.power may use
-# a SIMD pow that rounds differently.
+# Every lane of a batch goes through the floating-point operations it would
+# go through alone.  Powers use np.float_power, which calls the C library's
+# pow as Python's ``**`` does; np.power may round differently (SIMD pow).
 
 
 def _shock_q(h_l, q_l, h, sign):
@@ -56,16 +55,11 @@ def _shock_q(h_l, q_l, h, sign):
     return q_l * h / h_l + sign * (h - h_l) * np.sqrt(q_l * h * (h + h_l) / (2.0 * h_l))
 
 
-def _curve_anchors(h_l, q_l, h_r, q_r):
-    """The per-lane constants ``_wave_curves`` takes."""
-    return h_l, q_l, np.sqrt(q_l / h_l), h_r, q_r, np.sqrt(q_r / h_r)
-
-
 def _wave_curves(anchors, h):
     """q on the forward 1-curve from w_l and the backward 2-curve into w_r
     at thickness h (any extra leading axes), lane by lane, as (q1, q2, bad);
-    ``bad`` marks lanes off either curve's range.  Both anchor states have
-    h > 0 and q >= 0.  The 1-curve is a shock for h >= h_l and a rarefaction
+    ``bad`` marks lanes off either curve's range.  ``anchors`` is
+    (h_l, q_l, sqrt(u_l), h_r, q_r, sqrt(u_r)) with h > 0 and q >= 0.  The 1-curve is a shock for h >= h_l and a rarefaction
     below.  On the 2-curve's shock side (h > h_r) the unknown state sits on
     the LEFT of the jump, so its own q enters the jump condition; eliminating
     xi leaves
@@ -91,6 +85,12 @@ def _wave_curves(anchors, h):
     root = np.sqrt(t * (4.0 * q_r + t))
     np.copyto(q2, (2.0 * q_r + t + root) / (2.0 * (h_r / h)), where=h > h_r)
     return q1, q2, bad
+
+
+def _curves_and_stencil(anchors, h):
+    """``_wave_curves`` at h (row 0) and at the Jacobian's finite-difference
+    points h + dh and h - dh (rows 1, 2), dh = 1e-7 max(h, 1)."""
+    return _wave_curves(anchors, h + 1e-7 * np.maximum(h, 1.0) * _STENCIL)
 
 
 def shock_curve_1(w_l, h_r):
@@ -231,10 +231,9 @@ def _build_fan(shape, w_l, w_r, h_m, q_m, tol=1e-9):
         on1 & on2 & (sl2 < sr1 - tol))
     if disordered.any():
         raise _lane_error("wave speeds not ordered", np.flatnonzero(disordered))
-    w_star = np.empty_like(w_l)
-    w_star[:, 0], w_star[:, 1] = h_m, q_m
     states, per_family = shape + (2,), (2,) + shape
-    return WaveFan(w_l.reshape(states), w_star.reshape(states), w_r.reshape(states),
+    return WaveFan(w_l.reshape(states), np.array((h_m, q_m)).T.reshape(states),
+                   w_r.reshape(states),
                    np.array((kind1, kind2)).reshape(per_family),
                    np.array((sl1, sl2)).reshape(per_family),
                    np.array((sr1, sr2)).reshape(per_family))
@@ -264,44 +263,47 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
     trivial = (np.abs(h_l - h_r) <= _TRIV_TOL * np.maximum(h_l, h_r)) & (
         np.abs(q_l - q_r) <= _TRIV_TOL * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
-        anchors = _curve_anchors(h_l, q_l, h_r, q_r)
+        anchors = (h_l, q_l, np.sqrt(q_l / h_l), h_r, q_r, np.sqrt(q_r / h_r))
         h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
-        q1, q2, bad = _wave_curves(anchors, h)
-        bad &= ~trivial  # those need no iteration
-        if bad.any():
-            np.copyto(h, h_l, where=bad)
-            np.copyto(q, q_l, where=bad)
-            q1, q2, again = _wave_curves(anchors, h)
-            if (bad & again).any():
+        q1, q2, bad = _curves_and_stencil(anchors, h)
+        start_bad = bad[0] & ~trivial  # trivial lanes need no iteration
+        if start_bad.any():
+            np.copyto(h, h_l, where=start_bad)
+            np.copyto(q, q_l, where=start_bad)
+            q1, q2, bad = _curves_and_stencil(anchors, h)
+            if (start_bad & bad[0]).any():
                 raise _lane_error("no admissible start for the Newton iteration",
-                                  np.flatnonzero(bad & again))
-        r1, r2 = q - q1, q - q2
+                                  np.flatnonzero(start_bad & bad[0]))
+        r1, r2 = q - q1[0], q - q2[0]
         rn = np.maximum(np.abs(r1), np.abs(r2))
+        # the curves at h -+ dh for the next Jacobian; each trial point brings
+        # its own, so an accepted step needs no evaluation of its own
+        fd1, fd2, fd_bad = q1[1:], q2[1:], bad[1] | bad[2]
         tol_scale = tol * scale
         active = ~trivial & ~(rn <= tol_scale)
         for _ in range(max_iter):
             if not active.any():
                 break
             # finite-difference Jacobian in h; dq column is (1, 1)
-            dh = 1e-7 * np.maximum(h, 1.0)
-            f1, f2, bad = _wave_curves(anchors, h + dh * _SIDES)
-            dh *= 2.0
-            j11 = ((q - f1[0]) - (q - f1[1])) / dh
-            j21 = ((q - f2[0]) - (q - f2[1])) / dh
+            dh2 = 2.0 * (1e-7 * np.maximum(h, 1.0))
+            j11 = ((q - fd1[0]) - (q - fd1[1])) / dh2
+            j21 = ((q - fd2[0]) - (q - fd2[1])) / dh2
             det = j11 - j21
             # solve [[j11, 1], [j21, 1]] (dh, dq) = -(r1, r2)
             step_h = -(r1 - r2) / det
             step_q = -(r1 + j11 * step_h)
-            searching = active & ~(bad[0] | bad[1]) & (det != 0.0)
+            searching = active & ~fd_bad & (det != 0.0)
             improved = np.zeros_like(active)
             lam = 1.0
             for _ in range(40):
                 h_new, q_new = h + lam * step_h, q + lam * step_q
-                n1, n2, bad = _wave_curves(anchors, h_new)
-                n1, n2 = q_new - n1, q_new - n2
-                n_rn = np.maximum(np.abs(n1), np.abs(n2))
-                take = searching & ~bad & (n_rn < rn)
-                for old, new in ((h, h_new), (q, q_new), (r1, n1), (r2, n2), (rn, n_rn)):
+                n1, n2, bad = _curves_and_stencil(anchors, h_new)
+                n_r1, n_r2 = q_new - n1[0], q_new - n2[0]
+                n_rn = np.maximum(np.abs(n_r1), np.abs(n_r2))
+                take = searching & ~bad[0] & (n_rn < rn)
+                for old, new in ((h, h_new), (q, q_new), (r1, n_r1), (r2, n_r2),
+                                 (rn, n_rn), (fd1, n1[1:]), (fd2, n2[1:]),
+                                 (fd_bad, bad[1] | bad[2])):
                     np.copyto(old, new, where=take)
                 improved |= take
                 searching &= ~take

@@ -19,7 +19,7 @@ from pathfv import (
     shock_curve_2,
     solve_riemann,
 )
-from pathfv.riemann import NULL, RAREFACTION, SHOCK, _curve_anchors, _wave_curves
+from pathfv.riemann import NULL, RAREFACTION, SHOCK, _wave_curves
 from conftest import random_simplified_states
 from oracles import hugoniot_q_from_unit_left
 
@@ -325,7 +325,8 @@ class TestBatchedSolverAgainstOracle:
     def test_forward1_backward2_round_trip_closes(self, pairs):
         w_l, w_r, fan = _solve_batch(pairs)
         h, q = fan.w_star[:, 0], fan.w_star[:, 1]
-        q1, q2, bad = _wave_curves(_curve_anchors(*w_l.T, *w_r.T), h)
+        anchors = (*w_l.T, np.sqrt(w_l[:, 1] / w_l[:, 0]), *w_r.T, np.sqrt(w_r[:, 1] / w_r[:, 0]))
+        q1, q2, bad = _wave_curves(anchors, h)
         scale = np.maximum(np.abs(w_l[:, 1]), np.maximum(np.abs(w_r[:, 1]), 1.0))
         assert not bad.any()
         assert np.all(np.abs(q1 - q) <= 1e-9 * scale)
@@ -345,6 +346,26 @@ def test_strong_one_shock_satisfies_lax():
     wave = solve_riemann(w_l, (h, shock_curve_1(w_l, h))).waves[0]
     assert wave.kind == "shock"
     assert lam1(wave.left) > wave.speed > lam1(wave.right)
+
+
+def test_lanes_where_newton_stalls_fall_back_to_brentq(monkeypatch):
+    # Newton stalls on the first and last pair, and both solvers bracket the
+    # root with brentq instead; the middle pair converges by Newton
+    import pathfv.riemann
+
+    calls = []
+    real = pathfv.riemann.brentq
+    monkeypatch.setattr(pathfv.riemann, "brentq",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    w_l = np.array([[0.3746355364538239, 1.4254421794028227], [1.0, 1.0],
+                    [1.0074094373342195, 3.23586421586436]])
+    w_r = np.array([[1.0028084839530083, 1.6595744557076246], [0.5, 0.5],
+                    [1.6530346391837758, 0.1505159210002071]])
+    fan = solve_riemann(w_l, w_r)
+    assert len(calls) == 2
+    for i in range(3):
+        ref = oracles.solve_riemann(w_l[i], w_r[i])
+        assert np.array_equal(fan.w_star[i], np.array(ref.w_star))
 
 
 class TestSolverErrors:
