@@ -88,9 +88,24 @@ def _wave_curves(anchors, h):
 
 
 def _curves_and_stencil(anchors, h):
-    """``_wave_curves`` at h (row 0) and at the Jacobian's finite-difference
-    points h + dh and h - dh (rows 1, 2), dh = 1e-7 max(h, 1)."""
-    return _wave_curves(anchors, h + 1e-7 * np.maximum(h, 1.0) * _STENCIL)
+    """``_wave_curves`` at each lane's h (row 0) and at the Jacobian's
+    finite-difference points h + dh and h - dh (rows 1, 2), dh =
+    1e-7 max(h, 1), as (3, k) arrays.  ``anchors`` (6, 3, k) repeats each
+    lane's anchors on the three rows, so every operation runs on flat
+    arrays of one shape."""
+    points = h + 1e-7 * np.maximum(h, 1.0) * _STENCIL
+    return [v.reshape(points.shape) for v in _wave_curves(anchors.reshape(6, -1),
+                                                             points.ravel())]
+
+
+def _lane_state(h, q, curves):
+    """One column per lane: h, q, the residuals r1 = q - q1 and r2 = q - q2
+    at h and their max norm, the curves at h + dh and h - dh for the next
+    Jacobian, and 1.0 where those are off range."""
+    q1, q2, bad = curves
+    r1, r2 = q - q1[0], q - q2[0]
+    return np.array((h, q, r1, r2, np.maximum(np.abs(r1), np.abs(r2)),
+                     q1[1], q1[2], q2[1], q2[2], bad[1] | bad[2]))
 
 
 def shock_curve_1(w_l, h_r):
@@ -263,62 +278,64 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
     trivial = (np.abs(h_l - h_r) <= _TRIV_TOL * np.maximum(h_l, h_r)) & (
         np.abs(q_l - q_r) <= _TRIV_TOL * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
-        anchors = (h_l, q_l, np.sqrt(q_l / h_l), h_r, q_r, np.sqrt(q_r / h_r))
+        anchors = np.repeat(np.array((h_l, q_l, np.sqrt(q_l / h_l), h_r, q_r,
+                                      np.sqrt(q_r / h_r)))[:, None], 3, axis=1)
         h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
-        q1, q2, bad = _curves_and_stencil(anchors, h)
-        start_bad = bad[0] & ~trivial  # trivial lanes need no iteration
+        curves = _curves_and_stencil(anchors, h)
+        start_bad = curves[2][0] & ~trivial  # trivial lanes need no iteration
         if start_bad.any():
             np.copyto(h, h_l, where=start_bad)
             np.copyto(q, q_l, where=start_bad)
-            q1, q2, bad = _curves_and_stencil(anchors, h)
-            if (start_bad & bad[0]).any():
+            curves = _curves_and_stencil(anchors, h)
+            if (start_bad & curves[2][0]).any():
                 raise _lane_error("no admissible start for the Newton iteration",
-                                  np.flatnonzero(start_bad & bad[0]))
-        r1, r2 = q - q1[0], q - q2[0]
-        rn = np.maximum(np.abs(r1), np.abs(r2))
-        # the curves at h -+ dh for the next Jacobian; each trial point brings
-        # its own, so an accepted step needs no evaluation of its own
-        fd1, fd2, fd_bad = q1[1:], q2[1:], bad[1] | bad[2]
+                                  np.flatnonzero(start_bad & curves[2][0]))
+        # each trial point brings the curves at its own h -+ dh, so an
+        # accepted step needs no evaluation of its own
+        state = _lane_state(h, q, curves)
         tol_scale = tol * scale
-        active = ~trivial & ~(rn <= tol_scale)
+        # the lanes still iterating; a lane that leaves is dropped, so a hard
+        # lane costs the others nothing
+        act = np.flatnonzero(~trivial & ~(state[4] <= tol_scale))
         for _ in range(max_iter):
-            if not active.any():
+            if not act.size:
                 break
+            h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad = state[:, act]
             # finite-difference Jacobian in h; dq column is (1, 1)
             dh2 = 2.0 * (1e-7 * np.maximum(h, 1.0))
-            j11 = ((q - fd1[0]) - (q - fd1[1])) / dh2
-            j21 = ((q - fd2[0]) - (q - fd2[1])) / dh2
+            j11 = ((q - p1) - (q - m1)) / dh2
+            j21 = ((q - p2) - (q - m2)) / dh2
             det = j11 - j21
             # solve [[j11, 1], [j21, 1]] (dh, dq) = -(r1, r2)
             step_h = -(r1 - r2) / det
-            step_q = -(r1 + j11 * step_h)
-            searching = active & ~fd_bad & (det != 0.0)
-            improved = np.zeros_like(active)
+            search = np.array((h, q, step_h, -(r1 + j11 * step_h), rn))
+            todo = np.flatnonzero((fd_bad == 0.0) & (det != 0.0))  # into act
+            improved = np.zeros(act.size, dtype=bool)
             lam = 1.0
             for _ in range(40):
-                h_new, q_new = h + lam * step_h, q + lam * step_q
-                n1, n2, bad = _curves_and_stencil(anchors, h_new)
-                n_r1, n_r2 = q_new - n1[0], q_new - n2[0]
-                n_rn = np.maximum(np.abs(n_r1), np.abs(n_r2))
-                take = searching & ~bad[0] & (n_rn < rn)
-                for old, new in ((h, h_new), (q, q_new), (r1, n_r1), (r2, n_r2),
-                                 (rn, n_rn), (fd1, n1[1:]), (fd2, n2[1:]),
-                                 (fd_bad, bad[1] | bad[2])):
-                    np.copyto(old, new, where=take)
-                improved |= take
-                searching &= ~take
-                if not searching.any():
+                if not todo.size:
                     break
+                h0, q0, dh0, dq0, rn0 = search[:, todo]
+                h_new = h0 + lam * dh0
+                curves = _curves_and_stencil(anchors[..., act[todo]], h_new)
+                trial = _lane_state(h_new, q0 + lam * dq0, curves)
+                take = ~curves[2][0] & (trial[4] < rn0)
+                state[:, act[todo[take]]] = trial[:, take]
+                improved[todo[take]] = True
+                todo = todo[~take]
                 lam *= 0.5
-            active = improved & ~(rn <= tol_scale)
+            act = act[improved]
+            act = act[~(state[4, act] <= tol_scale[act])]
 
+        h, q, rn = state[0], state[1], state[4]
         np.copyto(h, h_l, where=trivial)
         np.copyto(q, q_l, where=trivial)
         for i in np.flatnonzero(~trivial & ~(rn <= tol_scale) & (rn > 1e-10 * scale)):
-            lane = tuple(v[i] for v in anchors)
+            lane = anchors[:, 0, i]
             h[i] = _bisect_intersection(lane, i)
             q1, q2, _ = _wave_curves(lane, h[i:i + 1])
-            res = float(max(abs(q1 - q1), abs(q1 - q2))[0])
+            # q = q1, so the larger residual is |q1 - q2|
+            res = float(abs(q1[0] - q2[0]))
             if res > 1e-9 * scale[i]:
                 raise RiemannSolutionError(
                     f"Riemann intersection did not converge (lane {i})",

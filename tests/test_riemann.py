@@ -368,6 +368,27 @@ def test_lanes_where_newton_stalls_fall_back_to_brentq(monkeypatch):
         assert np.array_equal(fan.w_star[i], np.array(ref.w_star))
 
 
+def test_a_lane_that_leaves_the_iteration_is_not_evaluated_again(monkeypatch):
+    # a stalling pair runs Newton to its line-search limit and then brentq;
+    # the 40 easy pairs beside it must not be carried along: the batch
+    # evaluates the wave curves at exactly the points its lanes do alone
+    import pathfv.riemann
+
+    points = []
+    real = pathfv.riemann._wave_curves
+    monkeypatch.setattr(pathfv.riemann, "_wave_curves",
+                        lambda a, h: points.append(np.size(h)) or real(a, h))
+    w_l = np.array([[0.3746355364538239, 1.4254421794028227]] + [[1.0, 1.0]] * 40)
+    w_r = np.array([[1.0028084839530083, 1.6595744557076246]] + [[0.5, 0.5]] * 40)
+    alone = 0
+    for pair in zip(w_l, w_r):
+        solve_riemann(*pair)
+        alone += sum(points)
+        points.clear()
+    solve_riemann(w_l, w_r)
+    assert sum(points) == alone
+
+
 class TestSolverErrors:
     def test_negative_flow_names_its_lane(self):
         w_l = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -0.5]])
