@@ -57,12 +57,12 @@ def _shock_q(h_l, q_l, h, sign):
 
 def _wave_curves(anchors, h):
     """q on the forward 1-curve from w_l and the backward 2-curve into w_r
-    at thickness h (any extra leading axes), lane by lane, as (q1, q2, bad);
-    ``bad`` marks lanes off either curve's range.  ``anchors`` is
-    (h_l, q_l, sqrt(u_l), h_r, q_r, sqrt(u_r)) with h > 0 and q >= 0.  The 1-curve is a shock for h >= h_l and a rarefaction
-    below.  On the 2-curve's shock side (h > h_r) the unknown state sits on
-    the LEFT of the jump, so its own q enters the jump condition; eliminating
-    xi leaves
+    at thickness h, lane by lane, as (q1, q2, bad); ``bad`` marks lanes off
+    either curve's range.  ``anchors`` is (h_l, q_l, sqrt(u_l), h_r, q_r,
+    sqrt(u_r)) with h > 0 and q >= 0.  The 1-curve is a shock for h >= h_l
+    and a rarefaction below.  On the 2-curve's shock side (h > h_r) the
+    unknown state sits on the LEFT of the jump, so its own q enters the jump
+    condition; eliminating xi leaves
 
         (h_r/h) q^2 - (2 q_r + (h_r-h)^2 (h_r+h)/2) q + q_r^2 h/h_r = 0
 
@@ -87,25 +87,17 @@ def _wave_curves(anchors, h):
     return q1, q2, bad
 
 
-def _curves_and_stencil(anchors, h):
-    """``_wave_curves`` at each lane's h (row 0) and at the Jacobian's
-    finite-difference points h + dh and h - dh (rows 1, 2), dh =
-    1e-7 max(h, 1), as (3, k) arrays.  ``anchors`` (6, 3, k) repeats each
-    lane's anchors on the three rows, so every operation runs on flat
-    arrays of one shape."""
+def _lane_state(anchors, h, q):
+    """One column per lane: h, q, the residuals r1 = q - q1, r2 = q - q2 at h
+    and their max norm, q1 and q2 at the Jacobian's points h -+ dh, dh =
+    1e-7 max(h, 1), then 1.0 where those points and where h are off range.
+    ``anchors`` (6, 3, k) repeats each lane's anchors for its three points."""
     points = h + 1e-7 * np.maximum(h, 1.0) * _STENCIL
-    return [v.reshape(points.shape) for v in _wave_curves(anchors.reshape(6, -1),
-                                                             points.ravel())]
-
-
-def _lane_state(h, q, curves):
-    """One column per lane: h, q, the residuals r1 = q - q1 and r2 = q - q2
-    at h and their max norm, the curves at h + dh and h - dh for the next
-    Jacobian, and 1.0 where those are off range."""
-    q1, q2, bad = curves
+    q1, q2, bad = (v.reshape(points.shape)
+                   for v in _wave_curves(anchors.reshape(6, -1), points.ravel()))
     r1, r2 = q - q1[0], q - q2[0]
-    return np.array((h, q, r1, r2, np.maximum(np.abs(r1), np.abs(r2)),
-                     q1[1], q1[2], q2[1], q2[2], bad[1] | bad[2]))
+    return np.array((h, q, r1, r2, np.maximum(np.abs(r1), np.abs(r2)), q1[1], q1[2],
+                     q2[1], q2[2], bad[1] | bad[2], bad[0]))
 
 
 def shock_curve_1(w_l, h_r):
@@ -281,26 +273,23 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
         anchors = np.repeat(np.array((h_l, q_l, np.sqrt(q_l / h_l), h_r, q_r,
                                       np.sqrt(q_r / h_r)))[:, None], 3, axis=1)
         h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
-        curves = _curves_and_stencil(anchors, h)
-        start_bad = curves[2][0] & ~trivial  # trivial lanes need no iteration
+        state = _lane_state(anchors, h, q)
+        start_bad = (state[10] != 0.0) & ~trivial  # trivial lanes need no iteration
         if start_bad.any():
             np.copyto(h, h_l, where=start_bad)
             np.copyto(q, q_l, where=start_bad)
-            curves = _curves_and_stencil(anchors, h)
-            if (start_bad & curves[2][0]).any():
+            state = _lane_state(anchors, h, q)
+            if (start_bad & (state[10] != 0.0)).any():
                 raise _lane_error("no admissible start for the Newton iteration",
-                                  np.flatnonzero(start_bad & curves[2][0]))
-        # each trial point brings the curves at its own h -+ dh, so an
-        # accepted step needs no evaluation of its own
-        state = _lane_state(h, q, curves)
+                                  np.flatnonzero(start_bad & (state[10] != 0.0)))
         tol_scale = tol * scale
-        # the lanes still iterating; a lane that leaves is dropped, so a hard
-        # lane costs the others nothing
+        # a lane that leaves is dropped, so a hard lane costs the rest nothing;
+        # a trial point brings its own h -+ dh, so a step needs no evaluation
         act = np.flatnonzero(~trivial & ~(state[4] <= tol_scale))
         for _ in range(max_iter):
             if not act.size:
                 break
-            h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad = state[:, act]
+            h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad = state[:10, act]
             # finite-difference Jacobian in h; dq column is (1, 1)
             dh2 = 2.0 * (1e-7 * np.maximum(h, 1.0))
             j11 = ((q - p1) - (q - m1)) / dh2
@@ -316,20 +305,17 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
                 if not todo.size:
                     break
                 h0, q0, dh0, dq0, rn0 = search[:, todo]
-                h_new = h0 + lam * dh0
-                curves = _curves_and_stencil(anchors[..., act[todo]], h_new)
-                trial = _lane_state(h_new, q0 + lam * dq0, curves)
-                take = ~curves[2][0] & (trial[4] < rn0)
-                state[:, act[todo[take]]] = trial[:, take]
-                improved[todo[take]] = True
+                trial = _lane_state(anchors[..., act[todo]], h0 + lam * dh0, q0 + lam * dq0)
+                take = (trial[10] == 0.0) & (trial[4] < rn0)
+                done = todo[take]
+                state[:, act[done]] = trial[:, take]
+                improved[done] = True
                 todo = todo[~take]
                 lam *= 0.5
-            act = act[improved]
-            act = act[~(state[4, act] <= tol_scale[act])]
+            act = act[improved & ~(state[4, act] <= tol_scale[act])]
 
+        state[:2, trivial] = w_l[trivial].T
         h, q, rn = state[0], state[1], state[4]
-        np.copyto(h, h_l, where=trivial)
-        np.copyto(q, q_l, where=trivial)
         for i in np.flatnonzero(~trivial & ~(rn <= tol_scale) & (rn > 1e-10 * scale)):
             lane = anchors[:, 0, i]
             h[i] = _bisect_intersection(lane, i)

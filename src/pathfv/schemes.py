@@ -371,12 +371,9 @@ class GodunovScheme(Scheme):
         super().__init__(system, path or TwoSegmentPath())
 
     def fluctuations(self, UL, UR, dx, dt):
-        UL = np.asarray(UL, dtype=float)
-        UR = np.asarray(UR, dtype=float)
-        ULb = UL.reshape(-1, 2)
-        URb = UR.reshape(-1, 2)
-        mm = np.zeros_like(ULb)
-        mp = np.zeros_like(ULb)
+        UL, UR = np.asarray(UL, dtype=float), np.asarray(UR, dtype=float)
+        ULb, URb = UL.reshape(-1, 2), UR.reshape(-1, 2)
+        mm, mp = np.zeros_like(ULb), np.zeros_like(ULb)
         lanes = np.flatnonzero((ULb != URb).any(axis=-1))
         mm[lanes], mp[lanes] = fan_split_integrals(_fans(ULb, URb, lanes))
         return mm.reshape(UL.shape), mp.reshape(UR.shape)
