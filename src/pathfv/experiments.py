@@ -68,19 +68,11 @@ def _stationary_contact(spec, system, x):
     return _jump(x, spec.get("x0", 0.0), left, right)
 
 
-def _still_water_over_step(spec, system, x):
-    sig = np.where(x < spec.get("x_step", 0.0), spec.get("sigma_left", 0.0),
-                   spec.get("sigma_right", 1.0))
-    h = spec.get("surface", 1.0) + sig
-    return np.stack([h, np.zeros_like(h), sig], axis=-1)
-
-
 # initial-condition id -> builder (spec, system, cell centres) -> states
 INITIALS = {
     "riemann": _riemann,
     "dam_break_over_bump": _dam_break_over_bump,
     "stationary_contact": _stationary_contact,
-    "still_water_over_step": _still_water_over_step,
 }
 
 # boundary id -> builder (initial solution) -> boundary

@@ -25,6 +25,8 @@ import numpy as np
 from .errors import FrontExtractionError, PathFVError, TraceError
 from .paths import _equilibrium_h_cached, path_integral
 
+# halvings of one continuation step before ``trace_exact`` gives up
+_TRACE_HALVINGS = 8
 
 @dataclass(frozen=True)
 class HugoniotCurve:
@@ -141,46 +143,36 @@ def _newton_free_state(system, path, fixed_state, side, xi, seed, tol=1e-12,
     )
 
 
-def trace_exact(system, path, fixed_state, side, xi_start, xi_end, steps,
-                seed_state=None, max_halvings=8):
+def trace_exact(system, path, fixed_state, side, xi_start, xi_end, steps):
     """Continuation of the shock curve in the speed parameter.
 
-    ``xi_start`` is either an eigenvalue of the fixed state (the curve then
-    starts at the trivial zero-strength solution) or any speed for which
-    ``seed_state`` is a known solution.  On a Newton failure the local step
-    is halved up to ``max_halvings`` times; if that fails too, the curve is
-    returned truncated with ``failed_at`` set.
+    ``xi_start`` is an eigenvalue of the fixed state: the curve starts at
+    the trivial zero-strength solution.  On a Newton failure the local step
+    is halved up to ``_TRACE_HALVINGS`` times; if that fails too, the curve
+    is returned truncated with ``failed_at`` set.
     """
     fixed_state = np.asarray(fixed_state, dtype=float)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     xi_values = [float(xi_start)]
-    states = [np.array(fixed_state) if seed_state is None
-              else np.asarray(seed_state, dtype=float)]
+    states = [np.array(fixed_state)]
     residuals = [0.0]
-    if seed_state is None:
-        lam, K = system.eigensystem(fixed_state)
-        k = int(np.argmin(np.abs(lam - xi_start)))
-        spread = max(np.abs(lam).max(), 1.0)
-        if abs(lam[k] - xi_start) > 1e-6 * spread:
-            raise TraceError(
-                "xi_start is not an eigenvalue of the fixed state; pass seed_state",
-                xi=xi_start,
-            )
-        r_k = K[:, k]
-        # growth rate of lambda_k along its eigenvector fixes the predictor
-        eps = 1e-6 * max(1.0, float(np.abs(fixed_state).max()))
-        lam_p = system.eigenvalues(fixed_state + eps * r_k)[k]
-        lam_m = system.eigenvalues(fixed_state - eps * r_k)[k]
-        slope = (lam_p - lam_m) / (2.0 * eps)
-        if abs(slope) < 1e-8:
-            raise TraceError(
-                "field is linearly degenerate along this eigenvector; "
-                "no shock branch to follow", xi=xi_start,
-            )
-        predictor = lambda dxi: fixed_state + (2.0 * dxi / slope) * r_k
-    else:
-        predictor = None
+    lam, K = system.eigensystem(fixed_state)
+    k = int(np.argmin(np.abs(lam - xi_start)))
+    spread = max(np.abs(lam).max(), 1.0)
+    if abs(lam[k] - xi_start) > 1e-6 * spread:
+        raise TraceError("xi_start is not an eigenvalue of the fixed state", xi=xi_start)
+    r_k = K[:, k]
+    # growth rate of lambda_k along its eigenvector fixes the predictor
+    eps = 1e-6 * max(1.0, float(np.abs(fixed_state).max()))
+    lam_p = system.eigenvalues(fixed_state + eps * r_k)[k]
+    lam_m = system.eigenvalues(fixed_state - eps * r_k)[k]
+    slope = (lam_p - lam_m) / (2.0 * eps)
+    if abs(slope) < 1e-8:
+        raise TraceError(
+            "field is linearly degenerate along this eigenvector; "
+            "no shock branch to follow", xi=xi_start,
+        )
 
     targets = np.linspace(xi_start, xi_end, steps + 1)[1:]
     failed_at = None
@@ -191,9 +183,9 @@ def trace_exact(system, path, fixed_state, side, xi_start, xi_end, steps,
         halvings = 0
         while abs(remaining) > 0:
             xi_next = xi_prev + remaining
-            if predictor is not None and len(states) == 1:
-                seed = predictor(xi_next - xi_values[0])
-            elif len(states) >= 2 and xi_values[-1] != xi_values[-2]:
+            if len(states) == 1:
+                seed = fixed_state + (2.0 * (xi_next - xi_values[0]) / slope) * r_k
+            elif xi_values[-1] != xi_values[-2]:
                 slope_w = (states[-1] - states[-2]) / (xi_values[-1] - xi_values[-2])
                 seed = w_prev + slope_w * (xi_next - xi_prev)
             else:
@@ -204,7 +196,7 @@ def trace_exact(system, path, fixed_state, side, xi_start, xi_end, steps,
                 )
             except TraceError:
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > _TRACE_HALVINGS:
                     failed_at = xi_next
                     break
                 remaining *= 0.5

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CurveRangeError, DomainError, RiemannSolutionError
 from .paths import PathFamily
@@ -329,6 +328,14 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
             q[i] = q1[0]
         # the speeds at the middle state are computed on every lane
         return _build_fan(shape, w_l, w_r, h, q)
+
+
+def brentq(f, a, b, **kwargs):
+    """scipy's bracketed root finder, imported on the first call: only the
+    fallback of a stalled lane needs scipy, which takes about 0.5 s to load."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
 
 
 def _bisect_intersection(anchors, lane):

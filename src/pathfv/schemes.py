@@ -47,12 +47,7 @@ from .errors import (
 from .paths import TwoSegmentPath
 from .riemann import fan_split_integrals, solve_riemann
 from .riemann import sample as fan_sample
-from .systems import (
-    DISTINCTNESS_RTOL,
-    SYSTEMS,
-    ShallowWaterSystem,
-    SimplifiedSystem,
-)
+from .systems import SYSTEMS, ShallowWaterSystem, SimplifiedSystem, distinct
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +75,6 @@ class Grid:
     @property
     def centers(self):
         return self.x_min + (np.arange(self.m) + 0.5) * self.dx
-
-    @property
-    def interfaces(self):
-        return self.x_min + np.arange(self.m + 1) * self.dx
 
 
 @dataclass(frozen=True)
@@ -162,11 +153,7 @@ def step(scheme, sol, dt, bc=None, lambda_max=None):
     ext = (bc or FreeBoundary()).extend(sol.states)
     mm, mp = scheme.fluctuations(ext[:-1], ext[1:], grid.dx, dt)
     new = sol.states - (dt / grid.dx) * (mp[:-1] + mm[1:])
-    if not np.all(np.isfinite(new)):
-        cell = int(np.argwhere(~np.isfinite(new))[0][0])
-        raise BlowUpError(f"scheme blew up at cell {cell}", cell=cell)
-    speed = _admissible_speed(scheme.system, new, sol.n + 1)
-    return Solution(grid, sol.t + dt, new, sol.n + 1, max_speed=speed)
+    return _next_solution(scheme.system, sol, dt, new)
 
 
 def _check_cfl(scheme, sol, dt, lambda_max):
@@ -189,16 +176,22 @@ def _check_cfl(scheme, sol, dt, lambda_max):
         )
 
 
-def _admissible_speed(system, states, n):
-    """Warn about inadmissible cells; return max |lambda| from the same pass."""
-    ok, speed = system.is_admissible(states, with_speed=True)
+def _next_solution(system, sol, dt, new):
+    """The Solution ``new`` one step of ``dt`` after ``sol``: refuses
+    non-finite values, warns about inadmissible cells and carries
+    max |lambda| from the same admissibility pass."""
+    if not np.all(np.isfinite(new)):
+        cell = int(np.argwhere(~np.isfinite(new))[0][0])
+        raise BlowUpError(f"scheme blew up at cell {cell}", cell=cell)
+    n = sol.n + 1
+    ok, speed = system.is_admissible(new, with_speed=True)
     if not np.all(ok):
         idx = np.nonzero(~np.asarray(ok))[0]
         log.warning(
             "step %d: %d cells left the admissible region (first at cell %d)",
             n, idx.size, int(idx[0]),
         )
-    return speed
+    return Solution(sol.grid, sol.t + dt, new, n, max_speed=speed)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +208,10 @@ def _roe_eigendata(system, path, UL, UR):
     UL = np.asarray(UL, dtype=float)
     UR = np.asarray(UR, dtype=float)
     lam, K = system.roe_eigensystem(UL, UR, path.coupling(system, UL, UR))
-    _check_distinct(lam)
+    if not np.all(distinct(lam)):
+        raise EigenDecompositionError(
+            "Roe matrix eigenvalues are not distinct at some interface"
+        )
     integral = path.closed_form_integral(system, UL, UR)
     # property 3 safety net: K (lam . K^-1 du) must equal the path integral
     du = UR - UL
@@ -228,15 +224,6 @@ def _roe_eigendata(system, path, UL, UR):
             "Roe linearization violates the jump identity", residual=float(resid)
         )
     return lam, K, coeff
-
-
-def _check_distinct(lam):
-    gaps = np.diff(lam, axis=-1).min(axis=-1)
-    scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
-    if np.any(gaps < DISTINCTNESS_RTOL * scale):
-        raise EigenDecompositionError(
-            "Roe matrix eigenvalues are not distinct at some interface"
-        )
 
 
 def roe_matrix(system, path, u_l, u_r):
@@ -426,7 +413,7 @@ class GlimmScheme(Scheme):
         new = left.copy()
         lanes = np.flatnonzero((left != right).any(axis=-1))
         new[lanes] = fan_sample(_fans(left, right, lanes, first=shift), xi)
-        return Solution(grid, sol.t + dt, new, sol.n + 1)
+        return _next_solution(self.system, sol, dt, new)
 
 
 def evolve(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):

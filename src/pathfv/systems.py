@@ -33,9 +33,13 @@ Three quasilinear systems are provided:
     Internal eigenvalues turn complex when the interfacial shear is too
     large, and such states are rejected.
 
-Each system declares its config id (``name``) and ``components``.  Given
-a path's coupling (see ``paths``), ``jump_integral`` is the path integral
-of A and ``roe_eigensystem`` the eigenpairs of the Roe matrix.
+Each system subclasses ``System`` and declares its config id (``name``)
+and ``components``.  It states its eigenstructure once: ``eigenvalues`` in
+ascending order and ``_eigenvectors`` for them; ``System`` derives
+``eigensystem`` and ``max_abs_speed`` from the two, and ``distinct`` is the
+one rule for coincident eigenvalues.  Given a path's coupling (see
+``paths``), ``jump_integral`` is the path integral of A and
+``roe_eigensystem`` the eigenpairs of the Roe matrix.
 
 All state arrays have shape (..., N) and matrix evaluations broadcast over
 leading axes.  Instances are immutable and safe to share between workers.
@@ -64,9 +68,11 @@ def _as_states(w, n):
     return w
 
 
-def _min_gap(lam):
-    """Smallest gap between consecutive ascending eigenvalues, batched."""
-    return np.diff(lam, axis=-1).min(axis=-1)
+def distinct(lam):
+    """Mask of the lanes whose ascending eigenvalues ``lam`` (..., N) are
+    distinct: every gap above DISTINCTNESS_RTOL times the lane's max |lam|."""
+    scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
+    return np.diff(lam, axis=-1).min(axis=-1) > DISTINCTNESS_RTOL * scale
 
 
 def _roe_velocity(h_l, u_l, h_r, u_r):
@@ -80,22 +86,36 @@ def _check_roe_thickness(*h):
 
 
 def normalize_eigenvectors(K):
-    """Unit Euclidean columns with the first nonzero component positive."""
-    K = np.array(K, dtype=float)
-    norms = np.linalg.norm(K, axis=-2, keepdims=True)
-    K = K / norms
-    n = K.shape[-1]
-    flat = K.reshape(-1, n, n)
-    for M in flat:
-        for j in range(n):
-            col = M[:, j]
-            nz = np.nonzero(np.abs(col) > 1e-14)[0]
-            if nz.size and col[nz[0]] < 0:
-                M[:, j] = -col
-    return flat.reshape(K.shape)
+    """Unit Euclidean columns with the first entry of |x| > 1e-14 positive."""
+    K = np.asarray(K, dtype=float)
+    K = K / np.linalg.norm(K, axis=-2, keepdims=True)
+    big = np.abs(K) > 1e-14
+    lead = big & (np.cumsum(big, axis=-2) == 1)
+    flip = (lead & (K < 0)).any(axis=-2, keepdims=True)
+    return np.where(flip, -K, K)
 
 
-class SimplifiedSystem:
+class System:
+    """Base of the systems: ``eigensystem`` and ``max_abs_speed`` from the
+    subclass's ascending ``eigenvalues(w)`` and its eigenvector columns
+    ``_eigenvectors(w, lam)``."""
+
+    def eigensystem(self, w):
+        """Ascending eigenvalues and unit right eigenvectors (columns of K);
+        coincident eigenvalues raise ``EigenDecompositionError``."""
+        w = np.asarray(w, dtype=float)
+        lam = self.eigenvalues(w)
+        if not np.all(distinct(lam)):
+            raise EigenDecompositionError(
+                f"{self.name} eigenvalues are not distinct at this state"
+            )
+        return lam, normalize_eigenvectors(self._eigenvectors(w, lam))
+
+    def max_abs_speed(self, w):
+        return np.abs(self.eigenvalues(w)).max()
+
+
+class SimplifiedSystem(System):
     """2x2 nonconservative model system, state w = (h, q)."""
 
     name = "simplified"
@@ -136,9 +156,8 @@ class SimplifiedSystem:
         s = h * np.sqrt(u)
         return np.stack([u - s, u + s], axis=-1)
 
-    def eigensystem(self, w):
-        lam = self.eigenvalues(w)
-        return lam, normalize_eigenvectors(_simplified_vectors(lam))
+    def _eigenvectors(self, w, lam):
+        return _simplified_vectors(lam)
 
     def roe_eigensystem(self, u_l, u_r, coupling):
         """Eigenpairs of [[0, 1], [c - u^2, 2 u]]: u the Roe velocity, c the
@@ -163,9 +182,6 @@ class SimplifiedSystem:
         out[..., 0] = q_r - q_l
         out[..., 1] = q_r**2 / h_r - q_l**2 / h_l + coupling * (h_r - h_l)
         return out
-
-    def max_abs_speed(self, w):
-        return np.abs(self.eigenvalues(w)).max()
 
     def is_admissible(self, w, *, with_speed=False):
         """Region 0 < q and 0 < h < (16 q)^(1/3), plus distinct eigenvalues.
@@ -203,22 +219,28 @@ def _simplified_vectors(lam):
     return K
 
 
+def _shallow_water_eigenvalues(u, c):
+    """The eigenvalues u - c, 0 and u + c in ascending order, without a sort:
+    u - c < u + c always, and the flow regime places the standing 0."""
+    lam = np.empty(np.shape(u) + (3,))
+    lam[..., 0] = np.minimum(u - c, 0.0)
+    lam[..., 1] = np.maximum(u - c, np.minimum(u + c, 0.0))
+    lam[..., 2] = np.maximum(u + c, 0.0)
+    return lam
+
+
 def _shallow_water_vectors(lam, k_standing):
-    """Eigenvector columns (1, lam, 0) of the moving fields and
-    (k_standing, 0, 1) of the standing one, sorted by eigenvalue with lam."""
-    K = np.zeros(lam.shape + (3,))
-    K[..., 0, 0] = 1.0
-    K[..., 1, 0] = lam[..., 0]
-    K[..., 0, 1] = 1.0
-    K[..., 1, 1] = lam[..., 1]
-    K[..., 0, 2] = k_standing
-    K[..., 2, 2] = 1.0
-    order = np.argsort(lam, axis=-1)
-    lam = np.take_along_axis(lam, order, axis=-1)
-    return lam, np.take_along_axis(K, order[..., None, :], axis=-1)
+    """Eigenvector columns for ascending ``lam``: (1, lam, 0) of a moving
+    field and (k_standing, 0, 1) of the standing one, where lam == 0."""
+    standing = lam == 0.0
+    K = np.zeros(lam.shape + (3,))  # C order: einsum's rounding follows layout
+    K[..., 0, :] = np.where(standing, np.expand_dims(k_standing, -1), 1.0)
+    K[..., 1, :] = lam
+    K[..., 2, :] = standing
+    return K
 
 
-class ShallowWaterSystem:
+class ShallowWaterSystem(System):
     """Shallow water over topography as a 3x3 system, W = (h, q, sigma)."""
 
     name = "shallow_water"
@@ -254,21 +276,14 @@ class ShallowWaterSystem:
         h, q = w[..., 0], w[..., 1]
         if np.any(h <= 0):
             raise DomainError("shallow water requires h > 0")
-        u = q / h
-        c = np.sqrt(self.g * h)
-        lam = np.stack([u - c, u + c, np.zeros_like(u)], axis=-1)
-        return np.sort(lam, axis=-1)
+        return _shallow_water_eigenvalues(q / h, np.sqrt(self.g * h))
 
-    def eigensystem(self, w):
-        w = _as_states(w, 3)
+    def _eigenvectors(self, w, lam):
         h, q = w[..., 0], w[..., 1]
         u = q / h
-        c = np.sqrt(self.g * h)
         gh = self.g * h
-        lam = np.stack([u - c, u + c, np.zeros_like(u)], axis=-1)
         # kernel vector of [[J, -S],[0,0]]: (g h/(g h - u^2), 0, 1)
-        lam, K = _shallow_water_vectors(lam, gh / (gh - u * u))
-        return lam, normalize_eigenvectors(K)
+        return _shallow_water_vectors(lam, gh / (gh - u * u))
 
     def roe_eigensystem(self, u_l, u_r, coupling):
         """Eigenpairs of [[J, (0, c)^T], [0, 0]]: J the flux Jacobian at the
@@ -280,8 +295,8 @@ class ShallowWaterSystem:
         hbar = 0.5 * (h_l + h_r)
         cbar = np.sqrt(self.g * hbar)
         a21 = self.g * hbar - u * u
-        lam = np.stack([u - cbar, u + cbar, np.zeros_like(u)], axis=-1)
-        return _shallow_water_vectors(lam, -coupling / a21)
+        lam = _shallow_water_eigenvalues(u, cbar)
+        return lam, _shallow_water_vectors(lam, -coupling / a21)
 
     def jump_integral(self, u_l, u_r, coupling):
         """([q], [q^2/h + g h^2/2] + c [sigma], 0) for the path average c of
@@ -291,9 +306,6 @@ class ShallowWaterSystem:
         out[..., 0] = F[..., 0]
         out[..., 1] = F[..., 1] + coupling * (u_r[..., 2] - u_l[..., 2])
         return out
-
-    def max_abs_speed(self, w):
-        return np.abs(self.eigenvalues(w)).max()
 
     def is_admissible(self, w, *, with_speed=False):
         """h > 0 away from resonance (u != +-c, so no eigenvalue collides with 0).
@@ -426,7 +438,7 @@ def solve_characteristic_quartic(u1, u2, a1, a2, k, imag_rtol=COMPLEX_RTOL):
     return lam.reshape(shape + (4,))
 
 
-class TwoLayerSystem:
+class TwoLayerSystem(System):
     """Two-layer shallow water over a flat bottom, w = (h1, q1, h2, q2)."""
 
     name = "two_layer"
@@ -467,25 +479,15 @@ class TwoLayerSystem:
         c1sq, c2sq = self.g * h1, self.g * h2
         return solve_characteristic_quartic(u1, u2, c1sq, c2sq, self.r * c1sq * c2sq)
 
-    def eigensystem(self, w):
-        """Sorted eigenvalues and unit right eigenvectors.
-
-        For a root lam the eigenvector is (1, lam, kappa, lam*kappa) with
+    def _eigenvectors(self, w, lam):
+        """For a root lam the eigenvector is (1, lam, kappa, lam*kappa) with
         kappa = ((lam - u1)^2 - c1^2)/c1^2, which follows from the first two
-        block rows of A.
-        """
-        h1, q1, h2, q2 = self._split(w)
+        block rows of A."""
+        h1, q1, _, _ = self._split(w)
         u1 = q1 / h1
         c1sq = self.g * h1
-        lam = self.eigenvalues(w)
-        gap = _min_gap(lam)
-        scale = np.abs(lam).max(axis=-1)
-        if np.any(gap < DISTINCTNESS_RTOL * np.maximum(scale, 1e-300)):
-            raise EigenDecompositionError(
-                "two-layer eigenvalues are not distinct at this state"
-            )
         kappa = ((lam - u1[..., None]) ** 2 - c1sq[..., None]) / c1sq[..., None]
-        return lam, normalize_eigenvectors(_two_layer_vectors(lam, kappa))
+        return _two_layer_vectors(lam, kappa)
 
     def roe_eigensystem(self, u_l, u_r, coupling):
         """Eigenpairs of A with Roe-averaged layer speeds and the path
@@ -519,9 +521,6 @@ class TwoLayerSystem:
         out[..., 2] = F[..., 2]
         out[..., 3] = F[..., 3] + self.r * self.g * c2 * dh1
         return out
-
-    def max_abs_speed(self, w):
-        return np.abs(self.eigenvalues(w)).max()
 
     def hyperbolicity_indicator(self, w):
         """Interfacial shear measure (u1-u2)^2 / (g' (h1+h2)), g' = (1-r) g.
@@ -558,8 +557,7 @@ class TwoLayerSystem:
         else:
             if idx.size == ok.size:
                 speed = float(np.abs(lam).max())
-        scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
-        ok[idx] = _min_gap(lam) > DISTINCTNESS_RTOL * scale
+        ok[idx] = distinct(lam)
         ok = bool(ok[0]) if scalar else ok.reshape(w.shape[:-1])
         return (ok, speed) if with_speed else ok
 

@@ -99,6 +99,61 @@ def quasilinear_momentum_row(w, flux, noncons_coeff, step=1e-7):
     return row
 
 
+def normalize_eigenvectors_loop(K):
+    """Unit columns, each negated when its first entry of |x| > 1e-14 is
+    negative: a Python loop over every matrix and every column."""
+    K = np.array(K, dtype=float)
+    K = K / np.linalg.norm(K, axis=-2, keepdims=True)
+    n = K.shape[-1]
+    flat = K.reshape(-1, n, n)
+    for M in flat:
+        for j in range(n):
+            col = M[:, j]
+            nz = np.nonzero(np.abs(col) > 1e-14)[0]
+            if nz.size and col[nz[0]] < 0:
+                M[:, j] = -col
+    return flat.reshape(K.shape)
+
+
+def _shallow_water_pairs_by_sort(u, c, k_standing):
+    """Eigenvalues (u - c, u + c, 0) with the columns (1, lam, 0), (1, lam, 0)
+    and (k_standing, 0, 1), both put in ascending order by argsort."""
+    lam = np.stack([u - c, u + c, np.zeros_like(u)], axis=-1)
+    K = np.zeros(lam.shape + (3,))
+    K[..., 0, 0] = 1.0
+    K[..., 1, 0] = lam[..., 0]
+    K[..., 0, 1] = 1.0
+    K[..., 1, 1] = lam[..., 1]
+    K[..., 0, 2] = k_standing
+    K[..., 2, 2] = 1.0
+    order = np.argsort(lam, axis=-1)
+    return (np.take_along_axis(lam, order, axis=-1),
+            np.take_along_axis(K, order[..., None, :], axis=-1))
+
+
+def shallow_water_eigensystem_by_sort(g, w):
+    """Ascending eigenvalues and unit eigenvectors of the shallow-water
+    matrix at the states ``w`` (..., 3)."""
+    h, q = w[..., 0], w[..., 1]
+    u = q / h
+    gh = g * h
+    # the standing column is the kernel vector (g h/(g h - u^2), 0, 1)
+    lam, K = _shallow_water_pairs_by_sort(u, np.sqrt(gh), gh / (gh - u * u))
+    return lam, normalize_eigenvectors_loop(K)
+
+
+def shallow_water_roe_eigensystem_by_sort(g, u_l, u_r, coupling):
+    """Eigenpairs of the shallow-water Roe matrix: Roe velocity, mean depth
+    and ``coupling`` the path average of -g h against sigma."""
+    h_l, q_l = u_l[..., 0], u_l[..., 1]
+    h_r, q_r = u_r[..., 0], u_r[..., 1]
+    sl, sr = np.sqrt(h_l), np.sqrt(h_r)
+    u = (sl * (q_l / h_l) + sr * (q_r / h_r)) / (sl + sr)
+    hbar = 0.5 * (h_l + h_r)
+    return _shallow_water_pairs_by_sort(u, np.sqrt(g * hbar),
+                                        -coupling / (g * hbar - u * u))
+
+
 def i2_dense(system, path, v, v_x, npts=10_001, rel_step=1e-3):
     """Dense-quadrature evaluation of the path-dependent modified-equation term.
 

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import pathfv
 from pathfv import (
     CurveRangeError,
     DomainError,
@@ -366,6 +372,17 @@ def test_lanes_where_newton_stalls_fall_back_to_brentq(monkeypatch):
     for i in range(3):
         ref = oracles.solve_riemann(w_l[i], w_r[i])
         assert np.array_equal(fan.w_star[i], np.array(ref.w_star))
+
+
+def test_importing_the_package_loads_no_scipy():
+    # only the bracketed fallback above needs scipy, imported on its first call
+    code = ("import sys, pathfv.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(pathfv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_a_lane_that_leaves_the_iteration_is_not_evaluated_again(monkeypatch):

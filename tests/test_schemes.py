@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -449,6 +451,17 @@ class TestGlimm:
         drift_err = abs(positions[-1] - xi * sol.t)
         n = n_steps
         assert drift_err < 2 * grid.dx + 2 * np.log2(n + 1) * grid.dx
+
+    def test_step_warns_about_inadmissible_cells_and_carries_the_speed(self, caplog):
+        # the last three cells lie above h = (16 q)^(1/3), outside the region
+        grid = Grid(-1.0, 1.0, 20)
+        states = np.where(grid.centers[:, None] < 0.0, [1.0, 1.0], [1.5, 0.9])
+        states[-3:] = [2.0, 0.268]
+        with caplog.at_level(logging.WARNING, logger="pathfv.schemes"):
+            new = GlimmScheme(SIMPLE).advance(Solution(grid, 0.0, states), 0.01)
+        assert "step 1: 3 cells left the admissible region (first at cell 17)" \
+            in caplog.text
+        assert new.max_speed == SIMPLE.max_abs_speed(new.states)
 
 
 def test_evolve_hits_snapshot_times_exactly():

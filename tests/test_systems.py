@@ -16,7 +16,13 @@ from conftest import (
     random_simplified_states,
     random_two_layer_states,
 )
-from oracles import quasilinear_momentum_row
+from pathfv.systems import DISTINCTNESS_RTOL, distinct, normalize_eigenvectors
+from oracles import (
+    normalize_eigenvectors_loop,
+    quasilinear_momentum_row,
+    shallow_water_eigensystem_by_sort,
+    shallow_water_roe_eigensystem_by_sort,
+)
 
 
 class TestSimplified:
@@ -237,6 +243,91 @@ def test_eigendecomposition_residual_all_systems(rng):
         resid = sys.matrix(W) @ K - K * lam[..., None, :]
         assert np.abs(resid).max() < 1e-10, sys.name
         assert np.all(np.diff(lam, axis=-1) > 0), sys.name
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def shallow_water_regimes(rng, n=100, g=9.81):
+    """States by Froude number u/c: subcritical, supercritical either way,
+    and within 1e-9 of u = -c and of u = +c (in that order, n each)."""
+    froude = np.concatenate([
+        rng.uniform(-0.95, 0.95, n),
+        rng.uniform(1.05, 4.0, n),
+        rng.uniform(-4.0, -1.05, n),
+        -1.0 + rng.uniform(-1e-9, 1e-9, n),
+        1.0 + rng.uniform(-1e-9, 1e-9, n),
+    ])
+    h = rng.uniform(0.05, 3.0, froude.size)
+    return np.stack([h, h * froude * np.sqrt(g * h), rng.uniform(-1.0, 1.0, h.size)],
+                    axis=-1)
+
+
+def test_shallow_water_eigenpairs_equal_the_sorting_oracle(rng):
+    # ascending order built from the flow regime, without a sort, gives the
+    # sorted eigenvalues and permuted columns bit for bit, sign bits included
+    sys = ShallowWaterSystem(9.81)
+    W = shallow_water_regimes(rng)
+    lam, _ = shallow_water_eigensystem_by_sort(9.81, W)
+    assert bitwise_equal(sys.eigenvalues(W), lam)
+    moving = W[:300]
+    for w in (moving, moving[0], moving[150], moving[250]):
+        lam, K = sys.eigensystem(w)
+        lam_o, K_o = shallow_water_eigensystem_by_sort(9.81, w)
+        assert bitwise_equal(lam, lam_o) and bitwise_equal(K, K_o)
+    W_r = W * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=W.shape))
+    for u_r in (W, W_r):  # the Roe state of (w, w) is w itself: near-critical
+        coupling = -9.81 * 0.5 * (W[:, 0] + u_r[:, 0])
+        lam, K = sys.roe_eigensystem(W, u_r, coupling)
+        lam_o, K_o = shallow_water_roe_eigensystem_by_sort(9.81, W, u_r, coupling)
+        assert bitwise_equal(lam, lam_o) and bitwise_equal(K, K_o)
+
+
+@pytest.mark.parametrize("sys, w", [
+    (SimplifiedSystem(), [1.0, 0.0]),  # q = 0: u -+ h sqrt(u) are both 0
+    (ShallowWaterSystem(9.81), [1.0, np.sqrt(9.81), 0.0]),  # u = c meets the standing 0
+    (ShallowWaterSystem(9.81), [1.0, -np.sqrt(9.81), 0.0]),  # u = -c
+], ids=["simplified", "shallow_water_u=c", "shallow_water_u=-c"])
+def test_coincident_eigenvalues_raise(sys, w):
+    assert not distinct(sys.eigenvalues(w))
+    with pytest.raises(EigenDecompositionError):
+        sys.eigensystem(w)
+    with pytest.raises(EigenDecompositionError):
+        sys.eigensystem(np.stack([np.ones_like(w), w]))
+
+
+def test_near_critical_shallow_water_eigensystem_raises(rng):
+    # within 1e-9 of u = -+c the gap to the standing 0 is below the
+    # distinctness bound, so no eigenvector matrix comes back
+    W = shallow_water_regimes(rng)[300:]
+    assert not distinct(ShallowWaterSystem(9.81).eigenvalues(W)).any()
+    for w in W[::50]:
+        with pytest.raises(EigenDecompositionError):
+            ShallowWaterSystem(9.81).eigensystem(w)
+
+
+def test_distinct_is_one_strict_rule():
+    lam = np.array([[-1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0 + 1e-9]])
+    assert distinct(lam).tolist() == [True, False, False, False]
+    assert distinct(lam[0]) and distinct(np.array([0.0, 1e-300]))
+    # a gap equal to the bound DISTINCTNESS_RTOL * max |lam| is coincident
+    assert not distinct(np.array([-1.0, 0.0, DISTINCTNESS_RTOL]))
+    assert distinct(np.array([-1.0, 0.0, 2.0 * DISTINCTNESS_RTOL]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (200, 2, 2), (4, 50, 4, 4)])
+def test_normalize_eigenvectors_equals_the_loop(shape, rng):
+    K = rng.normal(size=shape)
+    # leading entries at, below and above the 1e-14 sign threshold (after
+    # the columns are scaled to unit length), of either sign, and zeros
+    small = rng.choice([0.0, 1e-17, 5e-15, 1e-14, 2e-14, 1.0], size=shape[:-2] + shape[-1:])
+    K[..., 0, :] *= small
+    K[..., 1, :] *= rng.choice([1e-16, 1.0], size=small.shape)
+    out = normalize_eigenvectors(K)
+    assert bitwise_equal(out, normalize_eigenvectors_loop(K))
+    assert out.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
