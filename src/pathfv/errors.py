@@ -26,7 +26,13 @@ class HyperbolicityLossError(PathFVError):
 
 
 class EigenDecompositionError(PathFVError):
-    """Eigendecomposition is defective or too ill-conditioned to use."""
+    """Eigendecomposition is defective or too ill-conditioned to use.
+    ``index`` is the first failing state or interface of the batch (C
+    order), or None when unknown."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class RoeConstructionError(PathFVError):

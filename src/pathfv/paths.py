@@ -356,10 +356,19 @@ class EquilibriumPath(PathFamily):
         self.g = float(g)
 
     def intermediate_state(self, u_l, u_r):
-        """W* = (h*, q_l, sigma_r) for (..., 3) arrays of pairs."""
+        """W* = (h*, q_l, sigma_r) for (..., 3) arrays of pairs.
+
+        Only pairs with [sigma] != 0 are solved: elsewhere h* = h_l, which
+        is also what the solve returns there, bit for bit.
+        """
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
-        h = _equilibrium_h(u_l[..., 0], u_l[..., 1], u_r[..., 2] - u_l[..., 2], self.g)
+        dsig = u_r[..., 2] - u_l[..., 2]
+        h = u_l[..., 0].copy()
+        jump = dsig != 0.0
+        if np.any(jump):
+            h[jump] = _equilibrium_h(u_l[..., 0][jump], u_l[..., 1][jump],
+                                     dsig[jump], self.g)
         return np.stack([h, u_l[..., 1], u_r[..., 2]], axis=-1)
 
     def _energy(self, h, q):

@@ -47,7 +47,7 @@ from .errors import (
 from .paths import TwoSegmentPath
 from .riemann import fan_split_integrals, solve_riemann
 from .riemann import sample as fan_sample
-from .systems import SYSTEMS, ShallowWaterSystem, SimplifiedSystem, distinct
+from .systems import SYSTEMS, ShallowWaterSystem, SimplifiedSystem, require_distinct
 
 log = logging.getLogger(__name__)
 
@@ -199,23 +199,23 @@ def _next_solution(system, sol, dt, new):
 
 
 def _roe_eigendata(system, path, UL, UR):
-    """Sorted eigenvalues and eigenvector matrices of the Roe matrix, batched.
+    """Ascending eigenvalues and eigenvector matrices of the Roe matrix, and
+    the wave strengths, batched.
 
-    The system builds them from the path's coupling.  Returns
-    (lam, K, coeff) where ``coeff`` = K^-1 (u_r - u_l), the wave strengths
-    that the property-3 safety check uses and the fluctuations split.
+    The system builds the eigenpairs from the path's coupling and the
+    strengths ``coeff`` = K^-1 (u_r - u_l) with ``wave_strengths``, in
+    closed form where it has one; returns (lam, K, coeff).  Coincident eigenvalues raise
+    ``EigenDecompositionError`` at the first such interface, before any
+    division by an eigenvalue gap.
     """
     UL = np.asarray(UL, dtype=float)
     UR = np.asarray(UR, dtype=float)
     lam, K = system.roe_eigensystem(UL, UR, path.coupling(system, UL, UR))
-    if not np.all(distinct(lam)):
-        raise EigenDecompositionError(
-            "Roe matrix eigenvalues are not distinct at some interface"
-        )
+    require_distinct(lam, "Roe matrix", "interface")
+    coeff = system.wave_strengths(lam, K, UR - UL)
     integral = path.closed_form_integral(system, UL, UR)
-    # property 3 safety net: K (lam . K^-1 du) must equal the path integral
-    du = UR - UL
-    coeff = np.linalg.solve(K, du[..., None])[..., 0]
+    # property 3 safety net: K (lam . coeff) must equal the path integral;
+    # a closed-form coeff does not come from solving with this K
     adu = np.einsum("...ij,...j->...i", K, lam * coeff)
     resid = np.abs(adu - integral).max()
     scale = max(1.0, float(np.abs(integral).max()))
@@ -265,6 +265,16 @@ class Scheme:
         return step(self, sol, dt, bc=bc, lambda_max=lambda_max)
 
 
+def _differs(left, right):
+    """Mask of the pairs (rows of ``left`` and ``right``) that differ in some
+    component: the interfaces with a wave.  Column by column, as a NumPy
+    reduction along the short last axis is slow."""
+    out = left[..., 0] != right[..., 0]
+    for k in range(1, left.shape[-1]):
+        out = out | (left[..., k] != right[..., k])
+    return out
+
+
 class RoeScheme(Scheme):
     """Path-exact linearization with upwind splitting."""
 
@@ -273,8 +283,7 @@ class RoeScheme(Scheme):
     def fluctuations(self, UL, UR, dx, dt):
         UL = np.asarray(UL, dtype=float)
         UR = np.asarray(UR, dtype=float)
-        du = UR - UL
-        trivial = np.abs(du).max(axis=-1) == 0.0
+        trivial = ~_differs(UL, UR)
         if np.all(trivial):
             return np.zeros_like(UL), np.zeros_like(UL)
         lam, K, coeff = _roe_eigendata(self.system, self.path, UL, UR)
@@ -317,7 +326,8 @@ class ModifiedLaxFriedrichsScheme(Scheme):
 
     def fluctuations(self, UL, UR, dx, dt):
         lam, K, coeff = _roe_eigendata(self.system, self.path, UL, UR)
-        scale = np.abs(lam).max(axis=-1, keepdims=True)
+        # max |lam| of ascending lam, from its ends
+        scale = np.maximum(np.abs(lam[..., :1]), np.abs(lam[..., -1:]))
         moving = np.abs(lam) >= ZERO_EIG_RTOL * scale
         ident = np.where(moving, 1.0, 0.0)
         wm = 0.5 * (-(dx / dt) * ident + lam)
@@ -361,7 +371,7 @@ class GodunovScheme(Scheme):
         UL, UR = np.asarray(UL, dtype=float), np.asarray(UR, dtype=float)
         ULb, URb = UL.reshape(-1, 2), UR.reshape(-1, 2)
         mm, mp = np.zeros_like(ULb), np.zeros_like(ULb)
-        lanes = np.flatnonzero((ULb != URb).any(axis=-1))
+        lanes = np.flatnonzero(_differs(ULb, URb))
         mm[lanes], mp[lanes] = fan_split_integrals(_fans(ULb, URb, lanes))
         return mm.reshape(UL.shape), mp.reshape(UR.shape)
 
@@ -411,7 +421,7 @@ class GlimmScheme(Scheme):
             shift, xi = 1, (theta - 1.0) * grid.dx / dt
         left, right = ext[shift:shift + grid.m], ext[shift + 1:shift + grid.m + 1]
         new = left.copy()
-        lanes = np.flatnonzero((left != right).any(axis=-1))
+        lanes = np.flatnonzero(_differs(left, right))
         new[lanes] = fan_sample(_fans(left, right, lanes, first=shift), xi)
         return _next_solution(self.system, sol, dt, new)
 

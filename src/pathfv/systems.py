@@ -38,8 +38,9 @@ and ``components``.  It states its eigenstructure once: ``eigenvalues`` in
 ascending order and ``_eigenvectors`` for them; ``System`` derives
 ``eigensystem`` and ``max_abs_speed`` from the two, and ``distinct`` is the
 one rule for coincident eigenvalues.  Given a path's coupling (see
-``paths``), ``jump_integral`` is the path integral of A and
-``roe_eigensystem`` the eigenpairs of the Roe matrix.
+``paths``), ``jump_integral`` is the path integral of A,
+``roe_eigensystem`` the eigenpairs of the Roe matrix and
+``wave_strengths`` the coordinates of a jump in their eigenvectors.
 
 All state arrays have shape (..., N) and matrix evaluations broadcast over
 leading axes.  Instances are immutable and safe to share between workers.
@@ -70,9 +71,29 @@ def _as_states(w, n):
 
 def distinct(lam):
     """Mask of the lanes whose ascending eigenvalues ``lam`` (..., N) are
-    distinct: every gap above DISTINCTNESS_RTOL times the lane's max |lam|."""
-    scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
-    return np.diff(lam, axis=-1).min(axis=-1) > DISTINCTNESS_RTOL * scale
+    distinct: every gap above DISTINCTNESS_RTOL times the lane's max |lam|.
+
+    Column by column, as NumPy reductions along a short last axis are slow:
+    the max |lam| of ascending lam is at one of its ends, and the smallest
+    gap is the running minimum over adjacent columns.  A NaN anywhere
+    makes the lane coincident.
+    """
+    scale = np.maximum(np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1])), 1e-300)
+    gap = lam[..., 1] - lam[..., 0]
+    for j in range(2, lam.shape[-1]):
+        gap = np.minimum(gap, lam[..., j] - lam[..., j - 1])
+    return gap > DISTINCTNESS_RTOL * scale
+
+
+def require_distinct(lam, what, lane):
+    """Raise ``EigenDecompositionError`` with ``index`` at the first lane of
+    ``lam`` (C order) whose eigenvalues are not ``distinct``; ``what`` names
+    the matrix and ``lane`` a lane in the message."""
+    ok = distinct(lam)
+    if not np.all(ok):
+        i = int(np.flatnonzero(~ok)[0])
+        raise EigenDecompositionError(
+            f"{what} eigenvalues are not distinct at {lane} {i}", index=i)
 
 
 def _roe_velocity(h_l, u_l, h_r, u_r):
@@ -105,10 +126,7 @@ class System:
         coincident eigenvalues raise ``EigenDecompositionError``."""
         w = np.asarray(w, dtype=float)
         lam = self.eigenvalues(w)
-        if not np.all(distinct(lam)):
-            raise EigenDecompositionError(
-                f"{self.name} eigenvalues are not distinct at this state"
-            )
+        require_distinct(lam, self.name, "state")
         return lam, normalize_eigenvectors(self._eigenvectors(w, lam))
 
     def max_abs_speed(self, w):
@@ -174,6 +192,14 @@ class SimplifiedSystem(System):
         lam = np.stack([u - s, u + s], axis=-1)
         return lam, _simplified_vectors(lam)
 
+    def wave_strengths(self, lam, K, du):
+        """alpha = K^-1 du for the columns (1, lam) of ``roe_eigensystem``,
+        by Cramer's rule; ``lam`` must be ``distinct``."""
+        l0, l1 = lam[..., 0], lam[..., 1]
+        d0, d1 = du[..., 0], du[..., 1]
+        return np.stack([_pair_strengths(l0, l1, d0, d1),
+                         _pair_strengths(l1, l0, d0, d1)], axis=-1)
+
     def jump_integral(self, u_l, u_r, coupling):
         """([q], [q^2/h] + c [h]) for the path average c of q h against h."""
         h_l, q_l = u_l[..., 0], u_l[..., 1]
@@ -217,6 +243,13 @@ def _simplified_vectors(lam):
     K[..., 0, :] = 1.0
     K[..., 1, :] = lam
     return K
+
+
+def _pair_strengths(lam, other, d0, d1):
+    """Strength of the column (1, lam) in d = (d0, d1) when the one other
+    column is (1, other): the row of the 2x2 inverse, (d1 - other d0)
+    / (lam - other)."""
+    return (d1 - other * d0) / (lam - other)
 
 
 def _shallow_water_eigenvalues(u, c):
@@ -296,7 +329,33 @@ class ShallowWaterSystem(System):
         cbar = np.sqrt(self.g * hbar)
         a21 = self.g * hbar - u * u
         lam = _shallow_water_eigenvalues(u, cbar)
+        # a21 = 0 only where u = +-cbar, a double zero eigenvalue that the
+        # Roe step refuses; a NaN there keeps the division quiet
+        a21 = np.where(a21 == 0.0, np.nan, a21)
         return lam, _shallow_water_vectors(lam, -coupling / a21)
+
+    def wave_strengths(self, lam, K, du):
+        """alpha = K^-1 du for the eigenpairs of ``roe_eigensystem``;
+        ``lam`` must be ``distinct``.
+
+        The standing column (k, 0, 1), where lam == 0, takes [sigma].  The
+        two moving columns (1, a, 0) and (1, b, 0), a = u - c < b = u + c,
+        split (dh - k [sigma], dq) by the 2x2 rule.  The standing 0 sits
+        first when a > 0 and last when b < 0.  Column by column, as NumPy
+        broadcasting along the short last axis is slow.
+        """
+        l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
+        first, last = l0 == 0.0, l2 == 0.0
+        a = np.where(first, l1, l0)
+        b = np.where(last, l1, l2)
+        k = np.where(first, K[..., 0, 0], np.where(last, K[..., 0, 2], K[..., 0, 1]))
+        dq, dsig = du[..., 1], du[..., 2]
+        r = du[..., 0] - k * dsig
+        alpha_a = _pair_strengths(a, b, r, dq)
+        alpha_b = _pair_strengths(b, a, r, dq)
+        return np.stack([np.where(first, dsig, alpha_a),
+                         np.where(first, alpha_a, np.where(last, alpha_b, dsig)),
+                         np.where(last, dsig, alpha_b)], axis=-1)
 
     def jump_integral(self, u_l, u_r, coupling):
         """([q], [q^2/h + g h^2/2] + c [sigma], 0) for the path average c of
@@ -507,6 +566,18 @@ class TwoLayerSystem(System):
         lam = solve_characteristic_quartic(u1, u2, c1sq, c2sq, bcoup * ccoup)
         kappa = ((lam - u1[..., None]) ** 2 - c1sq[..., None]) / bcoup[..., None]
         return lam, _two_layer_vectors(lam, kappa)
+
+    def wave_strengths(self, lam, K, du):
+        """alpha = K^-1 du for the eigenpairs of ``roe_eigensystem``, by a
+        batched solve.
+
+        The left eigenvectors (e (lam - 2 u1), e, b (lam - 2 u2), b), with
+        e = (lam - u2)^2 - c2^2 and b = g c1, agree with the solve to 1e-14
+        at r = 0.95, but at r = 0, where e vanishes on the lower layer's
+        eigenvalues, they leave jump residuals up to 3e-6 on 40,000 random
+        pairs, far above the Roe step's 1e-9 bound; the solve leaves 6e-12.
+        """
+        return np.linalg.solve(K, du[..., None])[..., 0]
 
     def jump_integral(self, u_l, u_r, coupling):
         """Flux differences plus the coupling terms g c1 [h2] and r g c2 [h1]

@@ -18,6 +18,7 @@ from pathfv.errors import (
     PathConstructionError,
     RiemannSolutionError,
 )
+from pathfv.systems import DISTINCTNESS_RTOL
 
 
 def dense_path_integral(path, system, u_l, u_r, n=160_000):
@@ -113,6 +114,14 @@ def normalize_eigenvectors_loop(K):
             if nz.size and col[nz[0]] < 0:
                 M[:, j] = -col
     return flat.reshape(K.shape)
+
+
+def distinct_by_reduction(lam):
+    """The distinctness mask by reductions along the last axis: the scale
+    from ``np.abs(lam).max`` and the smallest gap from ``np.diff`` and
+    ``min``, for lanes of ascending eigenvalues."""
+    scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
+    return np.diff(lam, axis=-1).min(axis=-1) > DISTINCTNESS_RTOL * scale
 
 
 def _shallow_water_pairs_by_sort(u, c, k_standing):

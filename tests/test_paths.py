@@ -238,6 +238,30 @@ class TestEquilibriumPath:
         # the in-plane part traverses (h, q): leg one is trivial
         assert np.allclose(states[-1], b, atol=1e-14)
 
+    def test_continuous_sigma_keeps_h_without_a_solve(self, rng, monkeypatch):
+        # [sigma] = 0 exactly: h* = h_l bit for bit, also at Froude 1 where
+        # the energy curve is flat, and only the jump lanes reach the solver
+        import pathfv.paths as paths_mod
+
+        h = rng.uniform(0.2, 3.0, 400)
+        fr = np.concatenate([rng.uniform(0.1, 0.8, 100), rng.uniform(1.2, 2.5, 100),
+                             np.ones(100), np.zeros(100)])
+        u_l = np.stack([h, fr * h * np.sqrt(G * h), rng.uniform(-1.0, 1.0, 400)], axis=-1)
+        u_r = u_l.copy()
+        jump = (np.arange(400) % 2 == 0) & (fr != 1.0)
+        u_r[jump, 2] += 1e-3 * np.where(fr[jump] < 1.0, 1.0, -1.0)  # reachable
+        seen = []
+
+        def counting(h_l, q, delta_sigma, g):
+            seen.append(np.size(h_l))
+            return _equilibrium_h(h_l, q, delta_sigma, g)
+
+        monkeypatch.setattr(paths_mod, "_equilibrium_h", counting)
+        w_star = self.path.intermediate_state(u_l, u_r)
+        assert np.array_equal(w_star[~jump, 0], u_l[~jump, 0])
+        assert seen == [int(jump.sum())]
+        assert np.array_equal(w_star[jump], self.path.intermediate_state(u_l[jump], u_r[jump]))
+
     def test_zero_flow_intermediate(self):
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([1.7, 0.0, 0.7])

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pathfv import (
     CFLViolationError,
     DirichletBoundary,
     DomainError,
+    EigenDecompositionError,
     FreeBoundary,
     GlimmScheme,
     GodunovScheme,
@@ -254,6 +256,22 @@ class TestRoe:
                 I = path_integral(path, TWO, a, b)
                 assert np.abs(A @ (b - a) - I).max() < 1e-9
 
+    def test_two_layer_jump_identity_without_density_coupling(self, rng):
+        # r = 0: the lower layer no longer feels the upper one, and each
+        # layer's pair of eigenvalues separates from the other's
+        system = TwoLayerSystem(G, 0.0)
+        W = random_two_layer_states(rng, 400, r=0.0)
+        W = W[system.is_admissible(W)][:200]
+        W_r = W * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=W.shape))
+        for path in (SegmentsPath(), SkewedSegmentsPath(0.04)):
+            # the step checks the identity on every interface at 1e-9
+            mm, mp = RoeScheme(system, path).fluctuations(W, W_r, 0.01, 0.001)
+            I = path.closed_form_integral(system, W, W_r)
+            assert np.abs(mm + mp - I).max() < 1e-9 * max(1.0, np.abs(I).max())
+            for a, b in zip(W[:10], W_r[:10]):
+                A = roe_matrix(system, path, a, b)
+                assert np.abs(A @ (b - a) - path_integral(path, system, a, b)).max() < 1e-9
+
     def test_upwind_limits(self):
         # all speeds positive: the whole jump integral travels right (enters
         # the cell on the right through M+), and symmetrically for negative
@@ -308,6 +326,85 @@ def test_roe_jump_identity_for_every_declared_pair(family, system_name, rng):
         A = roe_matrix(system, path, a, b)
         I = path_integral(path, system, a, b)
         assert np.abs(A @ (b - a) - I).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "family, system_name",
+    [(cls, name) for cls in PATHS.values() for name in cls.couplings],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_wave_strengths_equal_the_solve_for_every_declared_pair(family, system_name, rng):
+    system = SYSTEMS[system_name]()
+    path = family.for_system(system, 0.04)
+    W = RANDOM_STATES[system_name](rng, 400)
+    W = W[system.is_admissible(W)][:200]
+    W_r = W * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=W.shape))
+    lam, K = system.roe_eigensystem(W, W_r, path.coupling(system, W, W_r))
+    du = W_r - W
+    alpha = system.wave_strengths(lam, K, du)
+    ref = np.linalg.solve(K, du[..., None])[..., 0]
+    assert np.all(np.abs(alpha - ref) <= 1e-12 * np.abs(ref).max(axis=-1, keepdims=True))
+    one = system.wave_strengths(lam[3], K[3], du[3])
+    assert one.shape == du[3].shape and np.array_equal(one, alpha[3])
+
+
+@pytest.mark.parametrize("system, path", [
+    (SIMPLE, TwoSegmentPath()), (SIMPLE, SegmentsPath()), (SW, SegmentsPath()),
+    (SW, PATHS["equilibrium"].for_system(SW)),
+], ids=lambda v: getattr(v, "name", None) or repr(v))
+def test_roe_step_solves_no_linear_system(system, path, rng, monkeypatch):
+    base = RANDOM_STATES[system.name](rng, 40)
+    base = base[system.is_admissible(base)][0]
+    x = np.linspace(0.0, 1.0, 120)[:, None]
+    W = base * (1.0 + 0.05 * np.sin(2.0 * np.pi * x + np.arange(base.size)))
+    W[60::2] = W[61::2]  # trivial interfaces too
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Roe step called a dense linear-algebra routine")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    schemes = [RoeScheme(system, path)]
+    if system is SW:
+        schemes.append(ModifiedLaxFriedrichsScheme(system, path))
+    for scheme in schemes:
+        sol = make_solution(W)
+        out = scheme.advance(sol, 0.5 * cfl_dt(system, sol, scheme.max_cfl))
+        assert np.all(np.isfinite(out.states))
+
+
+@pytest.mark.parametrize("scheme_cls", [RoeScheme, ModifiedLaxFriedrichsScheme])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_critical_roe_state_raises_with_its_interface(scheme_cls, sign):
+    # g = 4, h = 1, q = +-2: the Roe velocity is +-2 = cbar exactly, so
+    # g hbar - u^2 = 0 and a double zero eigenvalue meet at interface 2
+    system = ShallowWaterSystem(4.0)
+    UL = np.array([[1.5, 0.3, 0.0], [1.2, -0.4, 0.1], [1.0, 2.0 * sign, 0.0],
+                   [1.1, 0.2, 0.0]])
+    UR = np.array([[1.2, 0.4, 0.1], [1.5, 0.3, 0.0], [1.0, 2.0 * sign, 0.5],
+                   [0.9, 0.1, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenDecompositionError) as exc:
+            scheme_cls(system, SegmentsPath()).fluctuations(UL, UR, 0.1, 0.01)
+        assert exc.value.index == 2
+        assert "interface 2" in str(exc.value)
+        # the first two interfaces alone go through
+        scheme_cls(system, SegmentsPath()).fluctuations(UL[:2], UR[:2], 0.1, 0.01)
+
+
+@pytest.mark.parametrize("ncomp", [2, 3, 4])
+def test_differs_equals_the_reduction_forms(ncomp, rng):
+    from pathfv.schemes import _differs
+
+    a = rng.choice([-1.0, -0.0, 0.0, 1e-300, 2.5], size=(3000, ncomp))
+    b = a.copy()
+    flip = rng.random(a.shape) < 0.2
+    b[flip] = rng.choice([-1.0, -0.0, 0.0, 1e-300, 2.5, np.nan], size=int(flip.sum()))
+    mask = _differs(a, b)
+    assert np.array_equal(mask, ~(np.abs(b - a).max(axis=-1) == 0.0))
+    assert np.array_equal(mask, (a != b).any(axis=-1))
+    assert _differs(a[0], b[0]) == mask[0]
 
 
 @pytest.mark.parametrize("system_name", list(SYSTEMS))

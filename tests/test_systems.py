@@ -18,6 +18,7 @@ from conftest import (
 )
 from pathfv.systems import DISTINCTNESS_RTOL, distinct, normalize_eigenvectors
 from oracles import (
+    distinct_by_reduction,
     normalize_eigenvectors_loop,
     quasilinear_momentum_row,
     shallow_water_eigensystem_by_sort,
@@ -294,8 +295,9 @@ def test_coincident_eigenvalues_raise(sys, w):
     assert not distinct(sys.eigenvalues(w))
     with pytest.raises(EigenDecompositionError):
         sys.eigensystem(w)
-    with pytest.raises(EigenDecompositionError):
+    with pytest.raises(EigenDecompositionError) as exc:
         sys.eigensystem(np.stack([np.ones_like(w), w]))
+    assert exc.value.index == 1
 
 
 def test_near_critical_shallow_water_eigensystem_raises(rng):
@@ -315,6 +317,28 @@ def test_distinct_is_one_strict_rule():
     # a gap equal to the bound DISTINCTNESS_RTOL * max |lam| is coincident
     assert not distinct(np.array([-1.0, 0.0, DISTINCTNESS_RTOL]))
     assert distinct(np.array([-1.0, 0.0, 2.0 * DISTINCTNESS_RTOL]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_distinct_equals_the_reduction_form(n, rng):
+    # the column-by-column mask is the np.diff / min / abs().max one, bit
+    # for bit, on ascending lanes: random, with equal gaps, gaps at the
+    # bound, zeros and signed zeros, and NaN in any column
+    lam = np.sort(rng.normal(scale=rng.choice([1e-3, 1.0, 1e3], size=(4000, 1)),
+                             size=(4000, n)), axis=-1)
+    lam[:500] = np.arange(n) * rng.choice([0.0, 1.0, 2.0], size=(500, 1))
+    lam[500:1000] = np.sort(rng.choice([-1.0, -0.0, 0.0, 1.0], size=(500, n)), axis=-1)
+    lam[1000:1250, -1] = lam[1000:1250, -2] + DISTINCTNESS_RTOL * np.abs(
+        lam[1000:1250]).max(axis=-1) * rng.choice([0.5, 1.0, 2.0], size=250)
+    if n > 2:  # (-S, ..., 0, RTOL S): the smallest gap equals the bound exactly
+        base = np.append(np.linspace(-1.0, 0.0, n - 1), DISTINCTNESS_RTOL)
+        lam[1250:1500] = base * rng.choice([0.25, 1.0, 8.0], size=(250, 1))
+    lam[1500:2000][np.arange(500), rng.integers(0, n, 500)] = np.nan
+    assert np.array_equal(distinct(lam), distinct_by_reduction(lam))
+    assert np.array_equal(distinct(lam.reshape(40, 100, n)),
+                          distinct_by_reduction(lam).reshape(40, 100))
+    for row in lam[::97]:
+        assert distinct(row) == distinct_by_reduction(row)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (200, 2, 2), (4, 50, 4, 4)])
