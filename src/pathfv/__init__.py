@@ -56,14 +56,10 @@ from .schemes import (
     step,
 )
 from .riemann import (
-    FanPath,
-    Wave,
     WaveFan,
     fan_split_integrals,
-    rarefaction_curve,
     sample,
     shock_curve_1,
-    shock_curve_2,
     solve_riemann,
 )
 from .hugoniot import (

@@ -25,61 +25,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import path_integral
-from .quadrature import composite_gl
+from .quadrature import _central_differences, composite_gl
 
 
-def _matrix_derivatives(system, v, rel_step=1e-6):
-    """dA/du_k at v by central differences; returns array (N, N, N)."""
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    out = np.empty((n, n, n))
-    for k in range(n):
-        h = rel_step * max(1.0, abs(v[k]))
-        vp = v.copy()
-        vp[k] += h
-        vm = v.copy()
-        vm[k] -= h
-        out[k] = (system.matrix(vp) - system.matrix(vm)) / (2.0 * h)
-    return out
-
-
-def _endpoint_derivative(fun, svals, v, k, h, which):
-    """d fun(s; u_l, u_r)/du_{which,k} at u_l = u_r = v, for all s at once."""
-    vp = v.copy()
-    vp[k] += h
-    vm = v.copy()
-    vm[k] -= h
-    if which == "l":
-        return (fun(svals, vp, v) - fun(svals, vm, v)) / (2.0 * h)
-    return (fun(svals, v, vp) - fun(svals, v, vm)) / (2.0 * h)
-
-
-def _endpoint_matrix(fun, svals, v, which, rel_step):
+def _endpoint_matrix(fun, svals, v, which):
     """Richardson-extrapolated D_{u_which} fun at coincident states.
 
     Returns an array (ns, N, N): per s, the matrix with columns indexed by
     the endpoint component.
     """
-    n = v.size
-    cols = []
-    for k in range(n):
-        h = rel_step * max(1.0, abs(v[k]))
-        d1 = _endpoint_derivative(fun, svals, v, k, h, which)
-        d2 = _endpoint_derivative(fun, svals, v, k, 0.5 * h, which)
-        cols.append((4.0 * d2 - d1) / 3.0)
-    return np.stack(cols, axis=-1)
+    g = (lambda u: fun(svals, u, v)) if which == "l" else (lambda u: fun(svals, v, u))
+    d1, d2 = (_central_differences(g, v, 1e-3, scale) for scale in (1.0, 0.5))
+    return np.stack(tuple((4.0 * d2 - d1) / 3.0), axis=-1)
 
 
-def equivalent_eq_i2(system, path, v, v_x, rel_step=1e-3, panels=16):
+def equivalent_eq_i2(system, path, v, v_x):
     """Path-dependent term of the second-order modified equation at state v.
 
     ``v_x`` is the local gradient the expansion is taken against.  Uses
-    composite Gauss-Legendre on each smooth leg of the path with the
-    endpoint-derivative matrices evaluated at the quadrature nodes.
+    16-panel composite Gauss-Legendre on each smooth leg of the path with
+    the endpoint-derivative matrices evaluated at the quadrature nodes, and
+    dA/du_k by central differences with a relative step of 1e-6.
     """
     v = np.asarray(v, dtype=float)
     v_x = np.asarray(v_x, dtype=float)
-    dA = _matrix_derivatives(system, v)
+    dA = _central_differences(system.matrix, v, 1e-6)
 
     def bilinear(p, w):
         # DA(v)(p, w) for stacked p, w of shape (ns, N)
@@ -89,8 +59,8 @@ def equivalent_eq_i2(system, path, v, v_x, rel_step=1e-3, panels=16):
     def integrand(svals):
         terms = np.zeros((len(svals), v.size))
         for which in ("l", "r"):
-            dphi = _endpoint_matrix(path.evaluate, svals, v, which, rel_step)
-            dphis = _endpoint_matrix(path.tangent, svals, v, which, rel_step)
+            dphi = _endpoint_matrix(path.evaluate, svals, v, which)
+            dphis = _endpoint_matrix(path.tangent, svals, v, which)
             p = np.einsum("sij,j->si", dphi, v_x)
             w = np.einsum("sij,j->si", dphis, v_x)
             terms += bilinear(p, w)
@@ -99,7 +69,7 @@ def equivalent_eq_i2(system, path, v, v_x, rel_step=1e-3, panels=16):
     total = np.zeros(v.size)
     pts = path.breakpoints
     for a, b in zip(pts[:-1], pts[1:]):
-        total += composite_gl(integrand, a, b, panels)
+        total += composite_gl(integrand, a, b, 16)
     return total
 
 

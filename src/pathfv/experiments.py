@@ -402,12 +402,11 @@ def run(cfg, out_dir, seed=None, threads=1):
         if "shock_fit" in ocfg:
             f = ocfg["shock_fit"]
             fit = extract_shock(
-                snaps, f["component"], threshold=f.get("threshold", 0.1),
-                window=tuple(f["window"]),
-                plateau_cells=f.get("plateau_cells", 10),
-                margin_cells=f.get("margin_cells", 3),
-                fit_order=f.get("fit_order", 1),
+                snaps, f["component"], window=tuple(f["window"]),
                 flatten=tuple(f["flatten"]) if "flatten" in f else None,
+                # extract_shock's own defaults stand for the keys left out
+                **{key: f[key] for key in ("threshold", "plateau_cells",
+                                           "margin_cells", "fit_order") if key in f},
             )
             noncons, cons = rh_residual(system, fit, path)
             entry["shock_fit"] = {
@@ -497,9 +496,9 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
         margin = max(3, int(round(0.01 / dx)))
         try:
             fit = extract_shock(snaps, sweep.get("extract_component", 0),
-                                threshold=sweep.get("threshold", 0.1),
                                 window=tuple(sweep["window"]),
-                                plateau_cells=plateau, margin_cells=margin)
+                                plateau_cells=plateau, margin_cells=margin,
+                                **{key: sweep[key] for key in ("threshold",) if key in sweep})
         except PathFVError as exc:  # record and continue sweeping
             return None, {"epsilon": eps, "xi_target": xi_t, "dx": dx,
                           "error": f"{type(exc).__name__}: {exc}"}

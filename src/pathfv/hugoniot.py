@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import FrontExtractionError, PathFVError, TraceError
 from .paths import _equilibrium_h_cached, path_integral
+from .quadrature import _central_differences
 
 # halvings of one continuation step before ``trace_exact`` gives up
 _TRACE_HALVINGS = 8
@@ -84,15 +85,7 @@ def _rh_residual_vec(system, path, fixed_state, side, free, xi):
 
 def _fd_jacobian(resid, z):
     """Central-difference Jacobian of ``resid`` at z."""
-    J = np.empty((len(z), len(z)))
-    for k in range(len(z)):
-        h = 1e-7 * max(1.0, abs(z[k]))
-        zp = z.copy()
-        zp[k] += h
-        zm = z.copy()
-        zm[k] -= h
-        J[:, k] = (resid(zp) - resid(zm)) / (2.0 * h)
-    return J
+    return _central_differences(resid, z, 1e-7).T
 
 
 def _damped_newton(resid, z, tol, scale, max_iter, max_halvings, where, xi=None):
@@ -132,13 +125,13 @@ def _damped_newton(resid, z, tol, scale, max_iter, max_halvings, where, xi=None)
     return z, float(rnorm)
 
 
-def _newton_free_state(system, path, fixed_state, side, xi, seed, tol=1e-12,
-                       max_iter=60):
-    """Damped Newton for the free state at fixed xi.  Returns (state, resid)."""
+def _newton_free_state(system, path, fixed_state, side, xi, seed):
+    """Damped Newton for the free state at fixed xi, to a residual of 1e-12
+    relative in at most 60 steps.  Returns (state, resid)."""
     return _damped_newton(
         lambda v: _rh_residual_vec(system, path, fixed_state, side, v, xi),
-        np.array(seed, dtype=float), tol,
-        max(1.0, abs(xi), float(np.abs(fixed_state).max())), max_iter, 40,
+        np.array(seed, dtype=float), 1e-12,
+        max(1.0, abs(xi), float(np.abs(fixed_state).max())), 60, 40,
         f"at xi = {xi}", xi=xi,
     )
 
@@ -219,10 +212,11 @@ def trace_exact(system, path, fixed_state, side, xi_start, xi_end, steps):
 
 
 def solve_rh_at(system, path, fixed_state, side, component, value, seed_state,
-                seed_xi, tol=1e-13, max_iter=80):
+                seed_xi):
     """Solve the jump conditions with one free-state component pinned.
 
-    Unknowns are the remaining components and xi; used to land exactly on a
+    Unknowns are the remaining components and xi, solved to a residual of
+    1e-13 relative in at most 80 Newton steps; used to land exactly on a
     requested thickness along a traced curve.  Returns (state, xi).
     """
     fixed_state = np.asarray(fixed_state, dtype=float)
@@ -240,8 +234,8 @@ def solve_rh_at(system, path, fixed_state, side, component, value, seed_state,
         return _rh_residual_vec(system, path, fixed_state, side, w, xi)
 
     z = np.concatenate([np.asarray(seed_state, float)[free_idx], [seed_xi]])
-    z, _ = _damped_newton(resid, z, tol, max(1.0, float(np.abs(fixed_state).max())),
-                          max_iter, 20, "in the pinned jump-condition solve")
+    z, _ = _damped_newton(resid, z, 1e-13, max(1.0, float(np.abs(fixed_state).max())),
+                          80, 20, "in the pinned jump-condition solve")
     w, xi = unpack(z)
     return w, float(xi)
 
@@ -362,17 +356,18 @@ def extract_shock(sol_sequence, component, threshold=0.1, window=None,
     )
 
 
-def curve_distance(curve_a, curve_b, samples=256):
+def curve_distance(curve_a, curve_b):
     """Sup over the shared xi range of the Euclidean distance between curves.
 
-    Both curves are linearly interpolated in xi onto a common grid.  Raises
+    Both curves are linearly interpolated in xi onto a common grid of 256
+    points.  Raises
     if the xi ranges do not overlap.
     """
     lo = max(curve_a.xi.min(), curve_b.xi.min())
     hi = min(curve_a.xi.max(), curve_b.xi.max())
     if not hi > lo:
         raise TraceError("curves do not share a speed range")
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, 256)
     pa = curve_a.interpolate(xs)
     pb = curve_b.interpolate(xs)
     return float(np.linalg.norm(pa - pb, axis=-1).max())

@@ -284,12 +284,12 @@ def _equilibrium_h(h_l, q, delta_sigma, g):
                   for v in (h_l, q, delta_sigma))
     if np.any(h_l <= 0):
         raise DomainError("equilibrium solve requires h > 0")
-    out = h_l + ds  # the solution where q = 0
+    out = h_l + ds  # the solution where q = 0 or where sigma does not jump
     if np.any((q == 0.0) & (out <= 0)):
         raise PathConstructionError(
             "equilibrium curve leaves h > 0 for this sigma jump"
         )
-    idx = np.flatnonzero(q != 0.0)
+    idx = np.flatnonzero((q != 0.0) & (ds != 0.0))
     h_l, q, ds = h_l[idx], q[idx], ds[idx]
     a = q * q / (2.0 * g)
     target = h_l + a / h_l**2 + ds
@@ -429,7 +429,7 @@ class EquilibriumPath(PathFamily):
         return out
 
 
-def path_integral(path, system, u_l, u_r, method="auto", atol=1e-12, rtol=1e-10):
+def path_integral(path, system, u_l, u_r, method="auto"):
     """int_0^1 A(Phi(s; u_l, u_r)) dPhi/ds ds for a single pair of states.
 
     ``method`` is "auto" (closed form when the pair is declared), "closed"
@@ -457,7 +457,7 @@ def path_integral(path, system, u_l, u_r, method="auto", atol=1e-12, rtol=1e-10)
     total = np.zeros_like(u_l)
     pts = path.breakpoints
     for a, b in zip(pts[:-1], pts[1:]):
-        total = total + adaptive_gl(integrand, a, b, atol=atol, rtol=rtol)
+        total = total + adaptive_gl(integrand, a, b)
     return total
 
 

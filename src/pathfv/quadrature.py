@@ -1,4 +1,6 @@
-"""Adaptive composite Gauss-Legendre quadrature for vector-valued integrands."""
+"""Adaptive composite Gauss-Legendre quadrature for vector-valued integrands,
+and the central differences that every finite-difference derivative in the
+package takes (shock-curve Newton Jacobians, the modified-equation term)."""
 
 from functools import lru_cache
 
@@ -7,19 +9,19 @@ import numpy as np
 from .errors import QuadratureError
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(npts):
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return x, w
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    """The 8-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(8)
 
 
-def composite_gl(f, a, b, panels, npts=8):
-    """Composite Gauss-Legendre estimate of int_a^b f(s) ds.
+def composite_gl(f, a, b, panels):
+    """Composite 8-point Gauss-Legendre estimate of int_a^b f(s) ds.
 
     ``f`` maps an array of points (m,) to values (m, ...); the integral is
     taken componentwise.
     """
-    x, w = _gl_nodes(npts)
+    x, w = _gl_nodes()
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
@@ -29,21 +31,36 @@ def composite_gl(f, a, b, panels, npts=8):
     return half * np.einsum("j,pj...->...", w, vals)
 
 
-def adaptive_gl(f, a, b, atol=1e-12, rtol=1e-10, npts=8, max_depth=12):
+def adaptive_gl(f, a, b, max_depth=12):
     """Dyadically refined composite Gauss-Legendre integral.
 
     Refines until two successive estimates differ by less than
-    ``max(atol, rtol * |I|)`` in the max norm, else raises
+    ``max(1e-12, 1e-10 * |I|)`` in the max norm, else raises
     ``QuadratureError`` with the achieved difference attached.
     """
-    prev = composite_gl(f, a, b, 1, npts)
+    prev = composite_gl(f, a, b, 1)
     for depth in range(1, max_depth + 1):
-        cur = composite_gl(f, a, b, 2**depth, npts)
+        cur = composite_gl(f, a, b, 2**depth)
         diff = np.max(np.abs(cur - prev))
-        if diff < max(atol, rtol * np.max(np.abs(cur))):
+        if diff < max(1e-12, 1e-10 * np.max(np.abs(cur))):
             return cur
         prev = cur
     raise QuadratureError(
         f"quadrature did not converge within {max_depth} refinements",
         achieved=float(diff),
     )
+
+
+def _central_differences(f, v, rel_step, scale=1.0):
+    """df/dv_k at v by central differences with the step
+    ``scale * rel_step * max(1, |v_k|)``, stacked over k along a new first
+    axis."""
+    v = np.asarray(v, dtype=float)
+    out = []
+    for k, h in enumerate(scale * rel_step * np.maximum(1.0, np.abs(v))):
+        vp = v.copy()
+        vp[k] += h
+        vm = v.copy()
+        vm[k] -= h
+        out.append((f(vp) - f(vm)) / (2.0 * h))
+    return np.array(out)

@@ -27,20 +27,20 @@ The solution of a Riemann problem is a fan w_l -> w_star -> w_r made of
 one wave per family.  ``solve_riemann`` solves ``(..., 2)`` arrays of
 pairs, one lane each, in one damped Newton iteration over all lanes; a lane
 leaves it when its own test passes, so its result does not depend on the
-rest of the batch.  ``fan_split_integrals`` and ``sample`` take the fan.
+rest of the batch.  ``fan_split_integrals`` and ``sample`` take the fan,
+and ``shock_curve_1`` gives one point of the forward 1-shock locus.  The
+scalar wave curves, a per-wave view of a one-pair fan and the path along
+its wave arcs are reference code and live in ``tests/oracles.py``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurveRangeError, DomainError, RiemannSolutionError
-from .paths import PathFamily
+from .errors import CurveRangeError, RiemannSolutionError
 
 _TRIV_TOL = 1e-13  # relative scale below which a wave counts as null
 NULL, SHOCK, RAREFACTION = 0, 1, 2  # wave kind codes of a WaveFan
-KINDS = ("null", "shock", "rarefaction")
 _STENCIL = np.array([[0.0], [1.0], [-1.0]])  # h, h + dh, h - dh
 
 # Every lane of a batch goes through the floating-point operations it would
@@ -48,10 +48,9 @@ _STENCIL = np.array([[0.0], [1.0], [-1.0]])  # h, h + dh, h - dh
 # pow as Python's ``**`` does; np.power may round differently (SIMD pow).
 
 
-def _shock_q(h_l, q_l, h, sign):
-    """q on the forward shock locus from the left state (h_l, q_l) at h;
-    sign -1 for family 1, +1 for family 2."""
-    return q_l * h / h_l + sign * (h - h_l) * np.sqrt(q_l * h * (h + h_l) / (2.0 * h_l))
+def _shock_q(h_l, q_l, h):
+    """q on the forward 1-shock locus from the left state (h_l, q_l) at h."""
+    return q_l * h / h_l - (h - h_l) * np.sqrt(q_l * h * (h + h_l) / (2.0 * h_l))
 
 
 def _wave_curves(anchors, h):
@@ -73,7 +72,7 @@ def _wave_curves(anchors, h):
     # rarefaction side can break
     su = psi_l - (h - h_l) / 2.0
     q1 = h * su * su
-    np.copyto(q1, _shock_q(h_l, q_l, h, -1.0), where=h >= h_l)
+    np.copyto(q1, _shock_q(h_l, q_l, h), where=h >= h_l)
     su = psi_r + (h - h_r) / 2.0
     q2 = h * su * su
     bad = (su < 0) | (h <= 0)
@@ -107,55 +106,12 @@ def shock_curve_1(w_l, h_r):
     conditions and taking the branch tangent to the 1-integral curve.
     Entropy-admissible 1-shocks have h_r > h_l.
     """
-    return _forward_shock(w_l, h_r, -1.0)
-
-
-def shock_curve_2(w_l, h_r):
-    """Family-2 branch of the shock locus through the left state ``w_l``."""
-    return _forward_shock(w_l, h_r, 1.0)
-
-
-def _forward_shock(w_l, h_r, sign):
     h_l, q_l, h_r = float(w_l[0]), float(w_l[1]), float(h_r)
     if h_r <= 0 or h_l <= 0:
         raise CurveRangeError("shock curve requires positive thickness")
     if q_l * h_r * (h_r + h_l) / (2.0 * h_l) < 0:
         raise CurveRangeError("shock curve has no real branch here (q_l < 0)")
-    return float(_shock_q(h_l, q_l, h_r, sign))
-
-
-def rarefaction_curve(family, w_l, h):
-    """q on the integral curve of ``family`` through ``w_l`` at thickness h.
-
-    sqrt(u) = sqrt(u_l) -+ (h - h_l)/2 for family 1 / 2.  Raises
-    ``CurveRangeError`` when the curve leaves u >= 0.
-    """
-    h_l, q_l = float(w_l[0]), float(w_l[1])
-    if h <= 0:
-        raise CurveRangeError("rarefaction curve requires h > 0")
-    u_l = q_l / h_l
-    if u_l < 0:
-        raise CurveRangeError("integral curve needs u >= 0 at the anchor state")
-    su = math.sqrt(u_l) + (-1.0 if family == 1 else 1.0) * (h - h_l) / 2.0
-    if su < 0:
-        raise CurveRangeError("integral curve leaves the state space (u < 0)")
-    return float(h * su * su)
-
-
-@dataclass(frozen=True)
-class Wave:
-    """One simple wave: family 1 or 2, shock / rarefaction / null."""
-
-    family: int
-    kind: str  # "shock" | "rarefaction" | "null"
-    left: tuple
-    right: tuple
-    speed_left: float
-    speed_right: float
-
-    @property
-    def speed(self):
-        return self.speed_left
+    return float(_shock_q(h_l, q_l, h_r))
 
 
 @dataclass(frozen=True)
@@ -176,25 +132,6 @@ class WaveFan:
     speed_left: np.ndarray
     speed_right: np.ndarray
 
-    def ends(self, family):
-        """(left, right) states of each lane's ``family`` wave, (..., 2)."""
-        if family == 1:
-            return self.w_l, self.w_star
-        null = (self.kind[1] == NULL)[..., None]
-        return np.where(null, self.w_r, self.w_star), self.w_r
-
-    @property
-    def waves(self):
-        """The two ``Wave`` records of a one-pair fan."""
-        if self.kind.ndim != 1:
-            raise DomainError("waves lists the waves of a one-pair fan only")
-        return tuple(
-            Wave(f + 1, KINDS[self.kind[f]], tuple(map(float, left)),
-                 tuple(map(float, right)), float(self.speed_left[f]),
-                 float(self.speed_right[f]))
-            for f, (left, right) in enumerate(map(self.ends, (1, 2)))
-        )
-
 
 def _lam(h, q, sign):
     """lam_1 (sign -1) or lam_2 (sign +1) = u + sign h sqrt(u)."""
@@ -208,9 +145,9 @@ def _lane_error(message, lanes):
     return RiemannSolutionError(f"{message} (lane {i})", index=i)
 
 
-def _build_fan(shape, w_l, w_r, h_m, q_m, tol=1e-9):
+def _build_fan(shape, w_l, w_r, h_m, q_m):
     """Classify both waves of every lane of the (n, 2) pairs, check that the
-    wave speeds are ordered to within ``tol``, and pack the fan with leading
+    wave speeds are ordered to within 1e-9, and pack the fan with leading
     shape ``shape``."""
     h_l, q_l, h_r, q_r = w_l[:, 0], w_l[:, 1], w_r[:, 0], w_r[:, 1]
     scale = np.maximum(np.maximum(h_l, h_r), np.maximum(h_m, 1.0))
@@ -233,8 +170,8 @@ def _build_fan(shape, w_l, w_r, h_m, q_m, tol=1e-9):
             np.copyto(s, xi, where=kind == SHOCK)
     # the non-null waves' speeds, read left to right, must not decrease
     on1, on2 = ~null1, ~null2
-    disordered = (on1 & (sr1 < sl1 - tol)) | (on2 & (sr2 < sl2 - tol)) | (
-        on1 & on2 & (sl2 < sr1 - tol))
+    disordered = (on1 & (sr1 < sl1 - 1e-9)) | (on2 & (sr2 < sl2 - 1e-9)) | (
+        on1 & on2 & (sl2 < sr1 - 1e-9))
     if disordered.any():
         raise _lane_error("wave speeds not ordered", np.flatnonzero(disordered))
     states, per_family = shape + (2,), (2,) + shape
@@ -245,12 +182,13 @@ def _build_fan(shape, w_l, w_r, h_m, q_m, tol=1e-9):
                    np.array((sr1, sr2)).reshape(per_family))
 
 
-def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
+def solve_riemann(w_l, w_r):
     """Intersect the forward 1-curve from w_l with the backward 2-curve to w_r.
 
     ``w_l`` and ``w_r`` broadcast to (..., 2), one Riemann problem per lane.
     Damped 2-D Newton on (h, q) from the midpoint (from w_l where that is
-    off the curves), halving the step until the residual decreases; lanes
+    off the curves), halving the step until the residual decreases, for at
+    most 100 steps or until the max-norm residual is 1e-13 relative; lanes
     where Newton stalls fall back to a bracketed scalar solve in h.  Raises
     ``RiemannSolutionError`` with the first failing lane (C order) in
     ``index``: h <= 0 or q < 0, no admissible start, both solves failing
@@ -281,11 +219,11 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
             if (start_bad & (state[10] != 0.0)).any():
                 raise _lane_error("no admissible start for the Newton iteration",
                                   np.flatnonzero(start_bad & (state[10] != 0.0)))
-        tol_scale = tol * scale
+        tol_scale = 1e-13 * scale
         # a lane that leaves is dropped, so a hard lane costs the rest nothing;
         # a trial point brings its own h -+ dh, so a step needs no evaluation
         act = np.flatnonzero(~trivial & ~(state[4] <= tol_scale))
-        for _ in range(max_iter):
+        for _ in range(100):
             if not act.size:
                 break
             h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad = state[:10, act]
@@ -456,68 +394,3 @@ def fan_split_integrals(fan):
         minus += np.where(to_minus[:, None] | split, np.where(split, p_s, p_b) - p_a, 0.0)
         plus += np.where(to_plus[:, None] | split, p_b - np.where(split, p_s, p_a), 0.0)
     return minus.reshape(fan.w_l.shape), plus.reshape(fan.w_l.shape)
-
-
-class FanPath(PathFamily):
-    """Path following the wave arcs of a one-pair fan (shocks via the
-    two-segment path, rarefactions along integral curves).  Used to
-    cross-check fan integrals by generic quadrature, so it declares no
-    couplings."""
-
-    name = "fan"
-
-    def __init__(self, fan):
-        legs = []
-        for w in fan.waves:
-            if w.kind == "shock":
-                legs += [("seg_h", w.left, w.right), ("seg_q", w.left, w.right)]
-            elif w.kind == "rarefaction":
-                anchor = fan.w_l if w.family == 1 else fan.w_r
-                legs.append(("rar", (anchor, w.family), (w.left[0], w.right[0])))
-        self._legs = legs or [("seg_h", fan.w_l, fan.w_r), ("seg_q", fan.w_l, fan.w_r)]
-        self.breakpoints = tuple(np.linspace(0.0, 1.0, len(self._legs) + 1))
-        self.fan = fan
-
-    @staticmethod
-    def _leg(leg, t):
-        """Point and d/dt tangent of one leg at its own parameter t."""
-        kind, a, b = leg
-        if kind == "seg_h":
-            (h0, q0), (h1, _q1) = a, b
-            return ([h0 + t * (h1 - h0), np.full_like(t, q0)],
-                    [np.full_like(t, h1 - h0), np.zeros_like(t)])
-        if kind == "seg_q":
-            (_h0, q0), (h1, q1) = a, b
-            return ([np.full_like(t, h1), q0 + t * (q1 - q0)],
-                    [np.zeros_like(t), np.full_like(t, q1 - q0)])
-        (anchor, family), (h_a, h_b) = a, b
-        h = h_a + t * (h_b - h_a)
-        psi_anchor = math.sqrt(anchor[1] / anchor[0])
-        if family == 1:
-            psi = psi_anchor - (h - anchor[0]) / 2.0
-            lam = psi * psi - h * psi
-        else:
-            psi = psi_anchor + (h - anchor[0]) / 2.0
-            lam = psi * psi + h * psi
-        dh = np.full_like(t, h_b - h_a)
-        return [h, h * psi * psi], [dh, lam * dh]
-
-    def _by_leg(self, s, part, scale):
-        """One ``part`` (0 point, 1 tangent) of each leg times ``scale`` on
-        the leg's share of s, mapped to the leg's own parameter t in [0, 1]."""
-        s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s)
-        out = np.empty(flat.shape + (2,))
-        nlegs = len(self._legs)
-        idx = np.minimum((flat * nlegs).astype(int), nlegs - 1)
-        for i, leg in enumerate(self._legs):
-            m = idx == i
-            if np.any(m):
-                out[m] = np.stack(self._leg(leg, flat[m] * nlegs - i)[part], axis=-1) * scale
-        return out if s.ndim else out[0]
-
-    def evaluate(self, s, u_l, u_r):
-        return self._by_leg(s, 0, 1.0)
-
-    def tangent(self, s, u_l, u_r):
-        return self._by_leg(s, 1, len(self._legs))

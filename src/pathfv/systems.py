@@ -418,7 +418,7 @@ def _resolvent_root(p, q, r):
     return t - 2.0 * p / 3.0, disc
 
 
-def solve_characteristic_quartic(u1, u2, a1, a2, k, imag_rtol=COMPLEX_RTOL):
+def solve_characteristic_quartic(u1, u2, a1, a2, k):
     """Real roots of ((lam-u1)^2 - a1)((lam-u2)^2 - a2) = k, batched.
 
     Closed form by Ferrari's method.  Centred at s = (u1+u2)/2 with
@@ -430,7 +430,7 @@ def solve_characteristic_quartic(u1, u2, a1, a2, k, imag_rtol=COMPLEX_RTOL):
 
     A lane is non-hyperbolic when a quadratic's discriminant is negative
     (always so when the resolvent has a single real root) and the imaginary
-    part it gives exceeds ``imag_rtol`` relative to the root magnitude;
+    part it gives exceeds ``COMPLEX_RTOL`` relative to the root magnitude;
     smaller imaginary parts are truncated.  Non-hyperbolic lanes raise
     ``HyperbolicityLossError`` carrying the quartic's discriminant, the
     largest imaginary part and the lanes' flat (C-order) indices.
@@ -465,7 +465,7 @@ def solve_characteristic_quartic(u1, u2, a1, a2, k, imag_rtol=COMPLEX_RTOL):
     if (dmin < 0.0).any():
         imag = 0.5 * np.sqrt(np.maximum(-dmin, 0.0))
         big = 0.5 * np.sqrt(np.maximum(np.abs(da), np.abs(db)))
-        bad = imag > imag_rtol * np.maximum(1.0, np.abs(s) + 0.5 * sz + big)
+        bad = imag > COMPLEX_RTOL * np.maximum(1.0, np.abs(s) + 0.5 * sz + big)
         if bad.any():
             raise HyperbolicityLossError(
                 "complex characteristic roots: system is not hyperbolic here",

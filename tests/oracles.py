@@ -18,6 +18,8 @@ from pathfv.errors import (
     PathConstructionError,
     RiemannSolutionError,
 )
+from pathfv.paths import PathFamily
+from pathfv.riemann import NULL
 from pathfv.systems import DISTINCTNESS_RTOL
 
 
@@ -265,7 +267,7 @@ def equilibrium_h(h_l, q, delta_sigma, g):
     """
     if h_l <= 0:
         raise DomainError("equilibrium solve requires h > 0")
-    if q == 0.0:
+    if q == 0.0 or delta_sigma == 0.0:
         h = h_l + delta_sigma
         if h <= 0:
             raise PathConstructionError(
@@ -686,3 +688,95 @@ def fan_split_integrals(fan):
             minus += _rarefaction_arc_integral(anchor, w.family, h_a, h_sonic)
             plus += _rarefaction_arc_integral(anchor, w.family, h_sonic, h_b)
     return minus, plus
+
+
+# ---------------------------------------------------------------------------
+# Per-wave view of the package's batched fans, and the path along their arcs
+
+_KINDS = ("null", "shock", "rarefaction")  # by the batched fan's kind codes
+
+
+def ends(fan, family):
+    """(left, right) states of each lane's ``family`` wave of a batched fan,
+    (..., 2); a null 2-wave sits at ``w_r``."""
+    if family == 1:
+        return fan.w_l, fan.w_star
+    null = (fan.kind[1] == NULL)[..., None]
+    return np.where(null, fan.w_r, fan.w_star), fan.w_r
+
+
+def waves(fan):
+    """The two ``Wave`` records of a one-pair batched fan."""
+    if fan.kind.ndim != 1:
+        raise DomainError("waves lists the waves of a one-pair fan only")
+    return tuple(
+        Wave(f + 1, _KINDS[fan.kind[f]], tuple(map(float, left)),
+             tuple(map(float, right)), float(fan.speed_left[f]),
+             float(fan.speed_right[f]))
+        for f, (left, right) in enumerate(ends(fan, family) for family in (1, 2))
+    )
+
+
+class FanPath(PathFamily):
+    """Path following the wave arcs of a one-pair fan (shocks via the
+    two-segment path, rarefactions along integral curves).  Used to
+    cross-check fan integrals by generic quadrature, so it declares no
+    couplings."""
+
+    name = "fan"
+
+    def __init__(self, fan):
+        legs = []
+        for w in waves(fan):
+            if w.kind == "shock":
+                legs += [("seg_h", w.left, w.right), ("seg_q", w.left, w.right)]
+            elif w.kind == "rarefaction":
+                anchor = fan.w_l if w.family == 1 else fan.w_r
+                legs.append(("rar", (anchor, w.family), (w.left[0], w.right[0])))
+        self._legs = legs or [("seg_h", fan.w_l, fan.w_r), ("seg_q", fan.w_l, fan.w_r)]
+        self.breakpoints = tuple(np.linspace(0.0, 1.0, len(self._legs) + 1))
+        self.fan = fan
+
+    @staticmethod
+    def _leg(leg, t):
+        """Point and d/dt tangent of one leg at its own parameter t."""
+        kind, a, b = leg
+        if kind == "seg_h":
+            (h0, q0), (h1, _q1) = a, b
+            return ([h0 + t * (h1 - h0), np.full_like(t, q0)],
+                    [np.full_like(t, h1 - h0), np.zeros_like(t)])
+        if kind == "seg_q":
+            (_h0, q0), (h1, q1) = a, b
+            return ([np.full_like(t, h1), q0 + t * (q1 - q0)],
+                    [np.zeros_like(t), np.full_like(t, q1 - q0)])
+        (anchor, family), (h_a, h_b) = a, b
+        h = h_a + t * (h_b - h_a)
+        psi_anchor = math.sqrt(anchor[1] / anchor[0])
+        if family == 1:
+            psi = psi_anchor - (h - anchor[0]) / 2.0
+            lam = psi * psi - h * psi
+        else:
+            psi = psi_anchor + (h - anchor[0]) / 2.0
+            lam = psi * psi + h * psi
+        dh = np.full_like(t, h_b - h_a)
+        return [h, h * psi * psi], [dh, lam * dh]
+
+    def _by_leg(self, s, part, scale):
+        """One ``part`` (0 point, 1 tangent) of each leg times ``scale`` on
+        the leg's share of s, mapped to the leg's own parameter t in [0, 1]."""
+        s = np.asarray(s, dtype=float)
+        flat = np.atleast_1d(s)
+        out = np.empty(flat.shape + (2,))
+        nlegs = len(self._legs)
+        idx = np.minimum((flat * nlegs).astype(int), nlegs - 1)
+        for i, leg in enumerate(self._legs):
+            m = idx == i
+            if np.any(m):
+                out[m] = np.stack(self._leg(leg, flat[m] * nlegs - i)[part], axis=-1) * scale
+        return out if s.ndim else out[0]
+
+    def evaluate(self, s, u_l, u_r):
+        return self._by_leg(s, 0, 1.0)
+
+    def tangent(self, s, u_l, u_r):
+        return self._by_leg(s, 1, len(self._legs))

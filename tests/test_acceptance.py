@@ -17,7 +17,7 @@ from conftest import (
     random_simplified_states,
     random_two_layer_states,
 )
-from oracles import i2_dense
+from oracles import FanPath, i2_dense
 
 G = 9.81
 Q_R_REF = 0.530039370688997
@@ -253,7 +253,7 @@ def test_criterion_6_scheme_consistency(rng):
             mm, mp = scheme.fluctuations(UL[:sub], UR[:sub], dx, dt)
             for a, b, s in zip(UL[:sub], UR[:sub], mm + mp):
                 fan = pf.solve_riemann(a, b)
-                I = pf.path_integral(pf.FanPath(fan), SIMPLE, a, b,
+                I = pf.path_integral(FanPath(fan), SIMPLE, a, b,
                                      method="quadrature")
                 worst_jumps = max(worst_jumps, float(np.abs(s - I).max()))
             continue

@@ -1,15 +1,20 @@
-"""The benchmark's contract with the package, checked without running it.
+"""The benchmark's contract with the package.
 
 ``perfbench/`` traces the package from outside: every span a workload lists
 as required must name a function defined in its module, or a method defined
 in its class body (an inherited method records under the base class), and
 the benchmark calls a few functions by name and reads some arguments by
-position.  A refactor that breaks any of this fails here instead of in a
-traced benchmark run.
+position.  The static tests check this without running the benchmark; the
+last test runs every workload traced at tiny size, which also catches what
+only shows at run time (an alias the tracer leaves unpatched, a required
+span that records no calls, a span measure that cannot read its argument).
+A refactor that breaks any of this fails here instead of in a traced
+benchmark run.
 """
 
 import importlib
 import inspect
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -67,3 +72,12 @@ def test_arguments_the_tracer_reads_by_position():
             assert _positional(cls.fluctuations) == ["self", "UL", "UR", "dx", "dt"]
     for cls in PATHS.values():
         assert _positional(cls.closed_form_integral) == ["self", "system", "u_l", "u_r"]
+
+
+def test_traced_smoke_run_passes():
+    # writes only under the benchmark's git-ignored work directory .perfbench/
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert done.stdout.strip().splitlines()[-1] == '{"smoke": true}'

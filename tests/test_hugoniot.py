@@ -160,6 +160,11 @@ class TestStationaryContact:
         out = stationary_contact_state(self.sw, w, 0.25)
         assert np.allclose(out, w, atol=1e-14)
 
+    def test_no_sigma_jump_at_froude_one_keeps_the_state(self):
+        for h in np.linspace(0.2, 3.0, 57):
+            w = np.array([h, h * np.sqrt(G * h), 0.4])
+            assert np.array_equal(stationary_contact_state(self.sw, w, w[2]), w)
+
     def test_reference_cubic_root(self):
         w = np.array([1.0, np.sqrt(4 * G), 0.0])
         out = stationary_contact_state(self.sw, w, 1.0)

@@ -15,7 +15,7 @@ from pathfv import (
     TwoSegmentPath,
     path_integral,
 )
-from pathfv.paths import PATHS, _equilibrium_h
+from pathfv.paths import PATHS, _equilibrium_h, _equilibrium_h_cached
 from pathfv.systems import SYSTEMS
 from conftest import (
     random_shallow_water_states,
@@ -364,6 +364,15 @@ class TestBatchedEquilibriumSolve:
             with pytest.raises(type(want.value)) as got:
                 _solve_lanes(lanes)
             assert str(got.value) == str(want.value)
+
+    def test_no_sigma_jump_returns_h_l_bit_for_bit(self, rng):
+        # at Froude 1 the bracketed Newton iteration used to stop up to 1.6e-8
+        # (relative) away from h_l although sigma does not jump
+        h_l = rng.uniform(0.05, 5.0, 2000)
+        q = rng.choice([-1.0, 1.0], 2000) * h_l * np.sqrt(G * h_l)
+        assert _equilibrium_h(h_l, q, 0.0, G).tobytes() == h_l.tobytes()
+        for h, flow in zip(h_l[:200], q[:200]):
+            assert _equilibrium_h_cached(float(h), float(flow), 0.0, G) == h
 
     def test_flux_calls_do_not_grow_with_the_pairs(self, monkeypatch):
         calls = []
