@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .paths import path_integral
 from .quadrature import _central_differences, composite_gl
 
@@ -111,7 +112,7 @@ def mass_track(sol_history, component, half_width, exact_flux_rate):
     x = first.grid.centers
     mask = np.abs(x) <= half_width
     if not np.any(mask):
-        raise ValueError("window [-A, A] contains no cells")
+        raise DomainError("window [-A, A] contains no cells")
     edge_idx = [np.nonzero(mask)[0][0], np.nonzero(mask)[0][-1]]
     dx = first.grid.dx
     times = np.array([s.t for s in sol_history])

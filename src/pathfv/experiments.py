@@ -269,13 +269,11 @@ def validate_config(cfg):
     scheme = SCHEMES[cfg["scheme"]["id"]]
     sweep = cfg.get("sweep")
     shaped = PATHS[path_id].epsilon is not None
+    refused, reason = scheme._refusal(system_id, PATHS[path_id]) or (None, None)
     for ok, field, why in (
         (cfg["cfl"] <= scheme.max_cfl, "cfl",
          f"{scheme.name} requires cfl <= {scheme.max_cfl}"),
-        (system_id in scheme.systems, "scheme/id",
-         f"{scheme.name} is not available for the {system_id} system"),
-        (system_id in PATHS[path_id].couplings, "path/id",
-         f"{path_id} is not defined for the {system_id} system"),
+        (refused is None, refused, reason),
         (shaped or "epsilon" not in cfg["path"], "path/epsilon",
          f"{path_id} has no shape parameter"),
         (shaped or "epsilons" not in (sweep or {}), "sweep/epsilons",

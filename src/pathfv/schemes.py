@@ -24,8 +24,9 @@ interface terms sum to the path integral of A.  Realizations:
   statistically).
 
 Each scheme class declares its config id (``name``), ``max_cfl`` and the
-``systems`` it supports; the constructor refuses other systems and paths
-without a coupling for the system.  ``SCHEMES`` maps ids to classes.
+``systems`` and ``paths`` it supports; the constructor refuses other
+systems and paths, and paths without a coupling for the system.
+``SCHEMES`` maps ids to classes.
 
 Fluctuation functions are vectorized over a leading interface axis.
 """
@@ -44,7 +45,7 @@ from .errors import (
     RiemannSolutionError,
     RoeConstructionError,
 )
-from .paths import TwoSegmentPath
+from .paths import PATHS, TwoSegmentPath
 from .riemann import fan_split_integrals, solve_riemann
 from .riemann import sample as fan_sample
 from .systems import SYSTEMS, ShallowWaterSystem, SimplifiedSystem, require_distinct
@@ -131,8 +132,14 @@ def cfl_dt(system, sol, cfl, max_cfl=1.0):
     """Stable step dt = min(cfl, max_cfl) * dx / max |lambda| over all cells."""
     if not 0.0 < cfl <= 1.0:
         raise DomainError("cfl must lie in (0, 1]")
+    return _courant_dt(min(cfl, max_cfl), sol.grid.dx, _max_speed(system, sol.states))
+
+
+def _max_speed(system, states):
+    """max |lambda| over ``states``; a loss of hyperbolicity is raised again
+    naming its first cell."""
     try:
-        speed = float(system.max_abs_speed(sol.states))
+        return float(system.max_abs_speed(states))
     except HyperbolicityLossError as exc:
         bad = exc.indices[0] if exc.indices else None
         raise HyperbolicityLossError(
@@ -141,9 +148,13 @@ def cfl_dt(system, sol, cfl, max_cfl=1.0):
             max_imag=exc.max_imag,
             indices=exc.indices,
         ) from exc
+
+
+def _courant_dt(courant, dx, speed):
+    """courant * dx / speed; refuses a speed that cannot size a step."""
     if speed <= 0.0:
         raise DomainError("zero wave speed; cannot size a time step")
-    return min(cfl, max_cfl) * sol.grid.dx / speed
+    return courant * dx / speed
 
 
 def step(scheme, sol, dt, bc=None, lambda_max=None):
@@ -168,8 +179,8 @@ def _check_cfl(scheme, sol, dt, lambda_max):
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     if lambda_max is None:
-        lambda_max = float(scheme.system.max_abs_speed(sol.states))
-    dt_max = scheme.max_cfl * sol.grid.dx / lambda_max
+        lambda_max = _max_speed(scheme.system, sol.states)
+    dt_max = _courant_dt(scheme.max_cfl, sol.grid.dx, lambda_max)
     if dt > dt_max * (1.0 + 1e-12):
         raise CFLViolationError(
             f"dt = {dt:.3e} violates the {scheme.name} CFL bound", required_dt=dt_max
@@ -199,12 +210,12 @@ def _next_solution(system, sol, dt, new):
 
 
 def _roe_eigendata(system, path, UL, UR):
-    """Ascending eigenvalues and eigenvector matrices of the Roe matrix, and
-    the wave strengths, batched.
+    """Ascending eigenvalues and eigenvector matrices of the Roe matrix, the
+    wave strengths and the path integral, batched: (lam, K, coeff, integral).
 
     The system builds the eigenpairs from the path's coupling and the
     strengths ``coeff`` = K^-1 (u_r - u_l) with ``wave_strengths``, in
-    closed form where it has one; returns (lam, K, coeff).  Coincident eigenvalues raise
+    closed form where it has one.  Coincident eigenvalues raise
     ``EigenDecompositionError`` at the first such interface, before any
     division by an eigenvalue gap.
     """
@@ -213,25 +224,29 @@ def _roe_eigendata(system, path, UL, UR):
     lam, K = system.roe_eigensystem(UL, UR, path.coupling(system, UL, UR))
     require_distinct(lam, "Roe matrix", "interface")
     coeff = system.wave_strengths(lam, K, UR - UL)
-    integral = path.closed_form_integral(system, UL, UR)
-    # property 3 safety net: K (lam . coeff) must equal the path integral;
-    # a closed-form coeff does not come from solving with this K
-    adu = np.einsum("...ij,...j->...i", K, lam * coeff)
-    resid = np.abs(adu - integral).max()
-    scale = max(1.0, float(np.abs(integral).max()))
+    return lam, K, coeff, path.closed_form_integral(system, UL, UR)
+
+
+def _check_jump(jump, integral):
+    """Property 3 safety net: ``jump`` (Mm + Mp, or A [u]) must equal the path
+    integral to 1e-9 of max(1, |integral|); closed-form wave strengths do
+    not come from solving with the same K."""
+    resid = np.abs(jump - integral).max(initial=0.0)  # an empty batch passes
+    scale = max(1.0, float(np.abs(integral).max(initial=0.0)))
     if resid > 1e-9 * scale:
         raise RoeConstructionError(
             "Roe linearization violates the jump identity", residual=float(resid)
         )
-    return lam, K, coeff
 
 
 def roe_matrix(system, path, u_l, u_r):
     """Explicit Roe matrix for one pair of states (checked properties 1-3)."""
-    lam, K, _ = _roe_eigendata(system, path, u_l, u_r)
+    lam, K, _, integral = _roe_eigendata(system, path, u_l, u_r)
     if np.linalg.cond(K) > 1e12:
         raise EigenDecompositionError("Roe eigenvector matrix is ill-conditioned")
-    return K @ np.diag(lam) @ np.linalg.inv(K)
+    A = K @ np.diag(lam) @ np.linalg.inv(K)
+    _check_jump(A @ np.subtract(u_r, u_l, dtype=float), integral)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +254,7 @@ def roe_matrix(system, path, u_l, u_r):
 
 
 class Scheme:
-    """Base: each class declares ``name``, ``max_cfl`` and ``systems``.
+    """Base: each class declares ``name``, ``max_cfl``, ``systems`` and ``paths``.
 
     ``advance(sol, dt, bc, lambda_max)`` is the one update the driver calls.
     Fluctuation schemes provide a vectorized ``fluctuations(UL, UR, dx, dt)``
@@ -250,16 +265,27 @@ class Scheme:
 
     max_cfl = 1.0
     systems = tuple(SYSTEMS)
+    paths = tuple(PATHS)
 
     def __init__(self, system, path, *, seed=0):
-        if system.name not in self.systems:
-            raise DomainError(
-                f"the {self.name} scheme is not implemented for {system.name}"
-            )
-        if system.name not in path.couplings:
-            raise DomainError(f"{path!r} is not defined for {system.name}")
+        refusal = self._refusal(system.name, path)
+        if refusal is not None:
+            raise DomainError(refusal[1])
         self.system = system
         self.path = path
+
+    @classmethod
+    def _refusal(cls, system_name, path):
+        """(config field, reason) for a system or path family (class or
+        instance) this scheme cannot be built from, or None."""
+        if system_name not in cls.systems:
+            return ("scheme/id",
+                    f"{cls.name} is not available for the {system_name} system")
+        if system_name not in path.couplings:
+            return "path/id", f"{path.name} is not defined for the {system_name} system"
+        if path.name not in cls.paths:
+            return "path/id", f"{cls.name} is not available for the {path.name} path"
+        return None
 
     def advance(self, sol, dt, bc=None, lambda_max=None):
         return step(self, sol, dt, bc=bc, lambda_max=lambda_max)
@@ -281,16 +307,10 @@ class RoeScheme(Scheme):
     name = "roe"
 
     def fluctuations(self, UL, UR, dx, dt):
-        UL = np.asarray(UL, dtype=float)
-        UR = np.asarray(UR, dtype=float)
-        trivial = ~_differs(UL, UR)
-        if np.all(trivial):
-            return np.zeros_like(UL), np.zeros_like(UL)
-        lam, K, coeff = _roe_eigendata(self.system, self.path, UL, UR)
+        lam, K, coeff, integral = _roe_eigendata(self.system, self.path, UL, UR)
         mm = np.einsum("...ij,...j->...i", K, np.minimum(lam, 0.0) * coeff)
         mp = np.einsum("...ij,...j->...i", K, np.maximum(lam, 0.0) * coeff)
-        mm[trivial] = 0.0
-        mp[trivial] = 0.0
+        _check_jump(mm + mp, integral)
         return mm, mp
 
 
@@ -325,7 +345,7 @@ class ModifiedLaxFriedrichsScheme(Scheme):
     systems = (ShallowWaterSystem.name,)  # a balance law with a frozen sigma
 
     def fluctuations(self, UL, UR, dx, dt):
-        lam, K, coeff = _roe_eigendata(self.system, self.path, UL, UR)
+        lam, K, coeff, integral = _roe_eigendata(self.system, self.path, UL, UR)
         # max |lam| of ascending lam, from its ends
         scale = np.maximum(np.abs(lam[..., :1]), np.abs(lam[..., -1:]))
         moving = np.abs(lam) >= ZERO_EIG_RTOL * scale
@@ -337,6 +357,7 @@ class ModifiedLaxFriedrichsScheme(Scheme):
         # kill roundoff in the frozen component outright
         mm[..., 2] = 0.0
         mp[..., 2] = 0.0
+        _check_jump(mm + mp, integral)
         return mm, mp
 
 
@@ -363,6 +384,7 @@ class GodunovScheme(Scheme):
     name = "godunov"
     max_cfl = 0.5
     systems = (SimplifiedSystem.name,)
+    paths = (TwoSegmentPath.name,)  # the exact solver's jump conditions
 
     def __init__(self, system, path=None, *, seed=0):
         super().__init__(system, path or TwoSegmentPath())
@@ -404,6 +426,7 @@ class GlimmScheme(Scheme):
     name = "glimm"
     max_cfl = 0.5
     systems = (SimplifiedSystem.name,)
+    paths = (TwoSegmentPath.name,)  # the exact solver's jump conditions
 
     def __init__(self, system, path=None, *, seed=0):
         super().__init__(system, path or TwoSegmentPath())
@@ -442,9 +465,8 @@ def evolve(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):
     lam_max = None
     while sol.t < t_end - 1e-13:
         if lam_max is None:
-            lam_max = float(scheme.system.max_abs_speed(sol.states))
-        dt = cfl * sol.grid.dx / lam_max
-        dt = min(dt, t_end - sol.t)
+            lam_max = _max_speed(scheme.system, sol.states)
+        dt = min(_courant_dt(cfl, sol.grid.dx, lam_max), t_end - sol.t)
         if marks:
             dt = min(dt, marks[0] - sol.t)
         sol = scheme.advance(sol, dt, bc=bc, lambda_max=lam_max)

@@ -115,6 +115,13 @@ class TestValidation:
             validate_config(cfg)
         assert err.value.field == "path/id"
 
+    @pytest.mark.parametrize("scheme", ["godunov", "glimm"])
+    def test_exact_riemann_schemes_need_the_two_segment_path(self, scheme):
+        cfg = tiny_run_config(scheme={"id": scheme}, path={"id": "segments"}, cfl=0.5)
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == "path/id"
+
     def test_schema_enums_are_the_registries(self):
         props = SCHEMA["properties"]
         for section, registry in (("system", SYSTEMS), ("path", PATHS),
@@ -282,6 +289,7 @@ class TestCli:
             {"scheme": {"id": "modified_lax_friedrichs"},
              "system": {"id": "two_layer"}, "path": {"id": "segments"}},
             {"system": {"id": "shallow_water"}},
+            {"scheme": {"id": "godunov"}, "path": {"id": "segments"}, "cfl": 0.5},
         ):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(tiny_run_config(**overrides)))
@@ -321,6 +329,18 @@ class TestCli:
         cfgfile.write_text(json.dumps(cfg))
         assert main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "tiny" / "manifest.json").exists()
+
+    def test_domain_errors_of_a_run_exit_2(self, tmp_path, capsys):
+        still = tiny_run_config(initial={"id": "riemann", "left": [1.0, 0.0],
+                                         "right": [1.8, 0.0]})
+        narrow = tiny_run_config()
+        narrow["output"]["mass_ledger"]["half_width"] = 1e-4  # between two centres
+        for cfg, why in ((still, "zero wave speed"), (narrow, "contains no cells")):
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text(json.dumps(cfg))
+            assert main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("runtime error: DomainError: ") and why in err
 
     def test_threads_match_serial(self, tmp_path):
         cfg = tiny_run_config()

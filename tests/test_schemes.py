@@ -18,6 +18,7 @@ from pathfv import (
     LaxFriedrichsScheme,
     ModifiedLaxFriedrichsScheme,
     RiemannSolutionError,
+    RoeConstructionError,
     RoeScheme,
     SegmentsPath,
     ShallowWaterSystem,
@@ -102,6 +103,17 @@ class TestCflDt:
             cfl_dt(TWO, make_solution(states), 0.9)
         assert "cell 4" in str(err.value)
         assert err.value.indices == (4,)
+
+    def test_zero_wave_speed_is_refused_by_every_sizing(self):
+        # q = 0 on the 2x2 model: both eigenvalues vanish
+        sol = make_solution(np.tile([1.0, 0.0], (5, 1)))
+        scheme = RoeScheme(SIMPLE, TwoSegmentPath())
+        for size in (lambda: cfl_dt(SIMPLE, sol, 0.9),
+                     lambda: step(scheme, sol, 0.01),
+                     lambda: step(scheme, sol, 0.01, lambda_max=0.0),
+                     lambda: evolve(scheme, sol, 0.1, 0.9)):
+            with pytest.raises(DomainError, match="zero wave speed"):
+                size()
 
 
 def all_schemes():
@@ -393,6 +405,60 @@ def test_critical_roe_state_raises_with_its_interface(scheme_cls, sign):
         scheme_cls(system, SegmentsPath()).fluctuations(UL[:2], UR[:2], 0.1, 0.01)
 
 
+def test_jump_identity_is_checked_on_every_call(rng, monkeypatch):
+    path = SegmentsPath()
+    W = random_shallow_water_states(rng, 6)
+    UL, UR = W[:-1], W[1:]
+    calls = [lambda cls=cls: cls(SW, path).fluctuations(UL, UR, 0.1, 0.001)
+             for cls in (RoeScheme, ModifiedLaxFriedrichsScheme)]
+    calls.append(lambda: roe_matrix(SW, path, UL[-1], UR[-1]))
+    for call in calls:
+        call()
+    exact = path.closed_form_integral
+
+    def shifted(system, u_l, u_r):
+        out = exact(system, u_l, u_r).copy()
+        out.reshape(-1, out.shape[-1])[-1, 0] += 1e-6  # the last lane only
+        return out
+
+    monkeypatch.setattr(path, "closed_form_integral", shifted)
+    for call in calls:
+        with pytest.raises(RoeConstructionError):
+            call()
+
+
+@pytest.mark.parametrize("system, path", [
+    (SIMPLE, TwoSegmentPath()), (SW, SegmentsPath()), (TWO, SegmentsPath()),
+], ids=["simplified", "shallow_water", "two_layer"])
+def test_roe_fluctuations_vanish_at_bit_equal_pairs(system, path, rng):
+    W = RANDOM_STATES[system.name](rng, 40)
+    W = W[system.is_admissible(W)][:20]
+    W_r = W * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=W.shape))
+    W_r[::2] = W[::2]
+    mm, mp = RoeScheme(system, path).fluctuations(W, W_r, 0.1, 0.001)
+    assert np.all(mm[::2] == 0.0) and np.all(mp[::2] == 0.0)
+    assert np.all(np.abs(mm[1::2] - mp[1::2]).max(axis=-1) > 0.0)
+
+
+def test_bit_equal_batch_at_a_critical_state_raises():
+    # a bit-equal pair has no wave, but its Roe matrix is the cell's own: at
+    # g = 4, h = 1, q = 2 (u = c) the zero eigenvalue is double, so a batch of
+    # bit-equal pairs raises at that interface as a mixed batch does
+    system = ShallowWaterSystem(4.0)
+    U = np.array([[1.5, 0.3, 0.0], [1.0, 2.0, 0.0], [1.2, 0.1, 0.4]])
+    with pytest.raises(EigenDecompositionError) as exc:
+        RoeScheme(system, SegmentsPath()).fluctuations(U, U.copy(), 0.1, 0.01)
+    assert exc.value.index == 1
+    assert not system.is_admissible(U)[1]
+
+
+@pytest.mark.parametrize("scheme_cls", [RoeScheme, ModifiedLaxFriedrichsScheme])
+def test_empty_batch_gives_empty_fluctuations(scheme_cls):
+    empty = np.zeros((0, 3))
+    mm, mp = scheme_cls(SW, SegmentsPath()).fluctuations(empty, empty, 0.1, 0.01)
+    assert mm.shape == mp.shape == (0, 3)
+
+
 @pytest.mark.parametrize("ncomp", [2, 3, 4])
 def test_differs_equals_the_reduction_forms(ncomp, rng):
     from pathfv.schemes import _differs
@@ -429,6 +495,10 @@ def test_undeclared_pair_is_refused():
         RoeScheme(SW, TwoSegmentPath())
     with pytest.raises(DomainError):
         LaxFriedrichsScheme(SIMPLE, SkewedSegmentsPath(0.05))
+    # the exact solver uses the two-segment jump conditions
+    for scheme_cls in (GodunovScheme, GlimmScheme):
+        with pytest.raises(DomainError, match="segments path"):
+            scheme_cls(SIMPLE, SegmentsPath())
 
 
 class TestModifiedLF:
@@ -453,7 +523,7 @@ class TestModifiedLF:
 
         wl = np.array([1.1, 0.8])
         wr = np.array([1.4, 0.6])
-        lam, K, _ = _roe_eigendata(SIMPLE, TwoSegmentPath(), wl, wr)
+        lam, K, _, _ = _roe_eigendata(SIMPLE, TwoSegmentPath(), wl, wr)
         du = wr - wl
         coeff = np.linalg.solve(K, du)
         dx, dt = 0.01, 0.002
