@@ -23,8 +23,12 @@ for a declared pair and otherwise adaptive Gauss-Legendre quadrature per
 leg (piecewise paths have a tangent jump between legs).  ``PATHS`` maps
 config ids to the families.
 
-The equilibrium family's intermediate states come from one batched solve,
-``_equilibrium_h``, over every pair of a call; its memoized scalar entry
+A Roe-type step needs both the coupling and the closed form; it takes them
+from ``coupling_and_integral``, which a family overrides when the two share
+work.  The equilibrium family's intermediate states come from one batched
+solve, ``_equilibrium_h``, over every pair of a call: once per step through
+``coupling_and_integral``, once per call of ``coupling`` or
+``closed_form_integral`` on their own.  Its memoized scalar entry
 ``_equilibrium_h_cached`` serves ``hugoniot.stationary_contact_state`` only.
 """
 
@@ -66,6 +70,14 @@ class PathFamily:
         return fn(self, system, np.asarray(u_l, dtype=float),
                   np.asarray(u_r, dtype=float))
 
+    def coupling_and_integral(self, system, u_l, u_r):
+        """The coupling of the pairs and a function of no arguments giving
+        their closed-form integral, bit for bit what ``coupling`` and
+        ``closed_form_integral`` return; for a step that needs both.  A
+        family whose two computations share work overrides it."""
+        return (self.coupling(system, u_l, u_r),
+                lambda: self.closed_form_integral(system, u_l, u_r))
+
     def __repr__(self):
         eps = "" if self.epsilon is None else f"(epsilon={self.epsilon})"
         return f"<{type(self).__name__}{eps}>"
@@ -103,8 +115,9 @@ class SegmentsPath(PathFamily):
 
     def tangent(self, s, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
-        u_r = np.asarray(u_r, dtype=float)
-        return np.broadcast_to(u_r - u_l, np.shape(s) + u_l.shape).copy()
+        d = np.asarray(u_r, dtype=float) - u_l
+        batch = np.broadcast_shapes(np.shape(s), d.shape[:-1])
+        return np.broadcast_to(d, batch + d.shape[-1:]).copy()
 
     def closed_form_integral(self, system, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
@@ -307,23 +320,27 @@ def _equilibrium_h(h_l, q, delta_sigma, g):
     hi = np.where(sub, np.maximum(target, h_c) + 1.0, h_c)
     h = np.where(sub, np.maximum(h_l + ds, h_c), np.minimum(h_l, h_c))
     h = np.minimum(np.maximum(h, lo), hi)
-    for _ in range(100):
-        f = h + a / h**2 - target
-        above = (f > 0) == sub
-        hi = np.where(above, np.minimum(hi, h), hi)
-        lo = np.where(above, lo, np.maximum(lo, h))
-        df = 1.0 - 2.0 * a / h**3
-        mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # finished lanes leave the arrays only on the iterations where some finish
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not idx.size:
+                break
+            f = h + a / h**2 - target
+            above = (f > 0) == sub
+            hi = np.where(above, np.minimum(hi, h), hi)
+            lo = np.where(above, lo, np.maximum(lo, h))
+            df = 1.0 - 2.0 * a / h**3
+            mid = 0.5 * (lo + hi)
             h_new = np.where(df != 0.0, h - f / df, mid)
-        h_new = np.where((lo <= h_new) & (h_new <= hi), h_new, mid)
-        done = (np.abs(h_new - h) < 1e-15 * np.maximum(1.0, np.abs(h))) & (
-            np.abs(f) < 1e-13 * scale)
-        out[idx[done]] = h_new[done]
-        idx, a, target, scale, sub, lo, hi, h = (
-            v[~done] for v in (idx, a, target, scale, sub, lo, hi, h_new))
-        if not idx.size:
-            break
+            h_new = np.where((lo <= h_new) & (h_new <= hi), h_new, mid)
+            done = (np.abs(h_new - h) < 1e-15 * np.maximum(1.0, np.abs(h))) & (
+                np.abs(f) < 1e-13 * scale)
+            h = h_new
+            if done.any():
+                out[idx[done]] = h[done]
+                keep = ~done
+                idx, a, target, scale, sub, lo, hi, h = (
+                    v[keep] for v in (idx, a, target, scale, sub, lo, hi, h))
     if not np.all(np.abs(h + a / h**2 - target) < 1e-10 * scale):
         raise PathConstructionError("equilibrium solve did not converge")
     out[idx] = h
@@ -378,43 +395,57 @@ class EquilibriumPath(PathFamily):
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
         s = np.asarray(s, dtype=float)
-        w_star = self.intermediate_state(u_l, u_r)
-        e_l = self._energy(u_l[0], u_l[1])
-        h1 = u_l[0] + 2.0 * np.minimum(s, 0.5) * (w_star[0] - u_l[0])
-        sig1 = u_l[2] + self._energy(h1, u_l[1]) - e_l
+        h_l, q_l = u_l[..., 0], u_l[..., 1]
+        h_star = self.intermediate_state(u_l, u_r)[..., 0]
+        h1 = h_l + 2.0 * np.minimum(s, 0.5) * (h_star - h_l)
+        sig1 = u_l[..., 2] + self._energy(h1, q_l) - self._energy(h_l, q_l)
         t2 = np.clip(2.0 * s - 1.0, 0.0, 1.0)
-        h = np.where(s <= 0.5, h1, w_star[0] + t2 * (u_r[0] - w_star[0]))
-        q = np.where(s <= 0.5, u_l[1], u_l[1] + t2 * (u_r[1] - u_l[1]))
-        sig = np.where(s <= 0.5, sig1, u_r[2])
+        h = np.where(s <= 0.5, h1, h_star + t2 * (u_r[..., 0] - h_star))
+        q = np.where(s <= 0.5, q_l, q_l + t2 * (u_r[..., 1] - q_l))
+        sig = np.where(s <= 0.5, sig1, u_r[..., 2])
         return np.stack([h, q, sig], axis=-1)
 
     def tangent(self, s, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
         s = np.asarray(s, dtype=float)
-        w_star = self.intermediate_state(u_l, u_r)
-        dh1 = 2.0 * (w_star[0] - u_l[0])
-        h1 = u_l[0] + 2.0 * np.minimum(s, 0.5) * (w_star[0] - u_l[0])
+        h_l, q_l = u_l[..., 0], u_l[..., 1]
+        h_star = self.intermediate_state(u_l, u_r)[..., 0]
+        dh1 = 2.0 * (h_star - h_l)
+        h1 = h_l + 2.0 * np.minimum(s, 0.5) * (h_star - h_l)
         # dE/dh along the curve gives the sigma rate on leg one
-        dsig1 = (1.0 - u_l[1] ** 2 / (self.g * h1**3)) * dh1
-        th = np.where(s <= 0.5, dh1, 2.0 * (u_r[0] - w_star[0]))
-        tq = np.where(s <= 0.5, 0.0, 2.0 * (u_r[1] - u_l[1]))
+        dsig1 = (1.0 - q_l**2 / (self.g * h1**3)) * dh1
+        th = np.where(s <= 0.5, dh1, 2.0 * (u_r[..., 0] - h_star))
+        tq = np.where(s <= 0.5, 0.0, 2.0 * (u_r[..., 1] - q_l))
         tsig = np.where(s <= 0.5, dsig1, 0.0)
         return np.stack([th, tq, tsig], axis=-1)
 
-    def _minus_gh(self, system, u_l, u_r):
+    def _minus_gh(self, system, u_l, u_r, w_star=None):
         """(F2(w_l) - F2(w_star)) / [sigma], the factor that makes the jump
-        identity hold; -g hbar where sigma is continuous, its limit."""
+        identity hold; -g hbar where sigma is continuous, its limit.  The
+        intermediate states are solved here unless ``w_star`` gives them."""
         dsig = u_r[..., 2] - u_l[..., 2]
         out = np.asarray(-system.g * 0.5 * (u_l[..., 0] + u_r[..., 0]))
         scale = np.maximum(1.0, np.maximum(np.abs(u_l[..., 2]), np.abs(u_r[..., 2])))
         jump = ~(np.abs(dsig) < 1e-10 * scale)
         wl = u_l[jump]
-        f2 = system.flux(np.stack([wl, self.intermediate_state(wl, u_r[jump])]))[..., 1]
+        ws = self.intermediate_state(wl, u_r[jump]) if w_star is None else w_star[jump]
+        f2 = system.flux(np.stack([wl, ws]))[..., 1]
         out[jump] = (f2[0] - f2[1]) / dsig[jump]
         return out
 
     couplings = {ShallowWaterSystem.name: _minus_gh}
+
+    def coupling_and_integral(self, system, u_l, u_r):
+        # W* is solved once.  The integral from W* to u_r is the one from
+        # u_l bit for bit: leg one carries none, q* = q_l exactly, and
+        # sigma does not jump from W* to u_r, so intermediate_state returns
+        # W* there without a solve.
+        u_l = np.asarray(u_l, dtype=float)
+        u_r = np.asarray(u_r, dtype=float)
+        w_star = self.intermediate_state(u_l, u_r)
+        return (self._minus_gh(system, u_l, u_r, w_star),
+                lambda: self.closed_form_integral(system, w_star, u_r))
 
     def closed_form_integral(self, system, u_l, u_r):
         # F2(w_r) - F2(w_star) equals [F2] plus the coupling times [sigma]

@@ -67,7 +67,8 @@ def test_endpoint_conditions(rng):
     for path, system, W in _family_cases(rng, 2000):
         ul, ur = W[::2], W[1::2]
         if isinstance(path, EquilibriumPath):
-            # evaluated pairwise (the intermediate solve is per pair)
+            # pair by pair: a pair whose sigma jump the curve cannot reach
+            # raises and is skipped
             ul, ur = ul[:50], ur[:50]
             for a, b in zip(ul, ur):
                 try:
@@ -102,6 +103,22 @@ def test_tangent_matches_finite_difference(rng):
                 2 * eps
             )
             assert np.abs(tan - fd).max() < 1e-6
+
+
+def test_batched_evaluate_and_tangent_equal_the_pair_calls(rng):
+    # the pair axis must not be read as the component axis; two and three
+    # pairs are the sizes that used to broadcast or to pass silently wrong
+    for path, system, W in _family_cases(rng, 40):
+        u_l, u_r = W[::2], W[1::2]
+        if isinstance(path, EquilibriumPath):
+            u_r[:, 2] = u_l[:, 2] + np.abs(u_r[:, 2] - u_l[:, 2])  # a rise is reachable
+        s = rng.uniform(0.0, 1.0, len(u_l))
+        for fn in (path.evaluate, path.tangent):
+            alone = np.array([fn(t, a, b) for t, a, b in zip(s, u_l, u_r)])
+            at_03 = np.array([fn(0.3, a, b) for a, b in zip(u_l, u_r)])
+            for n in (2, 3, len(u_l)):
+                assert fn(s[:n], u_l[:n], u_r[:n]).tobytes() == alone[:n].tobytes()
+                assert fn(0.3, u_l[:n], u_r[:n]).tobytes() == at_03[:n].tobytes()
 
 
 def test_segments_midpoint():

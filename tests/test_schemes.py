@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathfv import (
     BlowUpError,
@@ -17,6 +19,7 @@ from pathfv import (
     HyperbolicityLossError,
     LaxFriedrichsScheme,
     ModifiedLaxFriedrichsScheme,
+    PathFVError,
     RiemannSolutionError,
     RoeConstructionError,
     RoeScheme,
@@ -41,7 +44,7 @@ from conftest import (
 )
 import oracles
 from pathfv.experiments import build_components, initial_solution, load_config
-from pathfv.paths import PATHS
+from pathfv.paths import PATHS, PathFamily
 from pathfv.systems import SYSTEMS
 from oracles import lf_single_interface_update, roe_fluctuations
 
@@ -320,12 +323,14 @@ RANDOM_STATES = {
     TwoLayerSystem.name: random_two_layer_states,
 }
 
-
-@pytest.mark.parametrize(
+every_declared_pair = pytest.mark.parametrize(
     "family, system_name",
     [(cls, name) for cls in PATHS.values() for name in cls.couplings],
     ids=lambda v: getattr(v, "name", v),
 )
+
+
+@every_declared_pair
 def test_roe_jump_identity_for_every_declared_pair(family, system_name, rng):
     system = SYSTEMS[system_name]()
     path = family.for_system(system, 0.04)
@@ -340,11 +345,7 @@ def test_roe_jump_identity_for_every_declared_pair(family, system_name, rng):
         assert np.abs(A @ (b - a) - I).max() < 1e-9
 
 
-@pytest.mark.parametrize(
-    "family, system_name",
-    [(cls, name) for cls in PATHS.values() for name in cls.couplings],
-    ids=lambda v: getattr(v, "name", v),
-)
+@every_declared_pair
 def test_wave_strengths_equal_the_solve_for_every_declared_pair(family, system_name, rng):
     system = SYSTEMS[system_name]()
     path = family.for_system(system, 0.04)
@@ -383,6 +384,107 @@ def test_roe_step_solves_no_linear_system(system, path, rng, monkeypatch):
         sol = make_solution(W)
         out = scheme.advance(sol, 0.5 * cfl_dt(system, sol, scheme.max_cfl))
         assert np.all(np.isfinite(out.states))
+
+
+def _simplified_state():
+    return st.builds(lambda h, u: [h, h * u], st.floats(0.5, 2.0), st.floats(0.6, 2.5))
+
+
+def _two_layer_state():
+    # bounded interfacial shear, as in random_two_layer_states
+    def state(h1, h2, shear, ubar):
+        du = shear * np.sqrt(0.5 * (1.0 - TWO.r) * G * (h1 + h2))
+        return [h1, h1 * (ubar + 0.5 * du), h2, h2 * (ubar - 0.5 * du)]
+
+    return st.builds(state, st.floats(0.3, 1.5), st.floats(0.3, 1.5),
+                     st.floats(-1.0, 1.0), st.floats(-0.3, 0.3))
+
+
+def _pair_of(state):
+    """A left state and a right one of its own or, at times, the same."""
+    return state.flatmap(lambda a: st.tuples(st.just(a), st.one_of(st.just(a), state)))
+
+
+@st.composite
+def _shallow_water_pair(draw):
+    """sigma continuous, jumping by less than the equilibrium coupling's
+    1e-10 * scale threshold, or rising (always reachable); q = 0 at times."""
+    froude = st.one_of(st.just(0.0), st.floats(0.05, 0.8), st.floats(1.25, 3.0))
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    h_l, h_r = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+    q_l = sign * draw(froude) * h_l * np.sqrt(G * h_l)
+    q_r = sign * draw(froude) * h_r * np.sqrt(G * h_r)
+    sigma_l = draw(st.floats(-2.0, 2.0))
+    sigma_r = sigma_l + draw(st.one_of(
+        st.just(0.0),
+        st.floats(1e-14, 5e-11).flatmap(lambda d: st.sampled_from((d, -d))),
+        st.floats(1e-3, 1.0)))
+    return [h_l, q_l, sigma_l], [h_r, q_r, sigma_r]
+
+
+PAIRS = {
+    SimplifiedSystem.name: _pair_of(_simplified_state()),
+    ShallowWaterSystem.name: _shallow_water_pair(),
+    TwoLayerSystem.name: _pair_of(_two_layer_state()),
+}
+
+
+def _bits(value):
+    """The bytes of an array, or of each array of a tuple."""
+    return [np.asarray(v).tobytes() for v in (value if isinstance(value, tuple) else (value,))]
+
+
+def _fluctuation_bits(scheme, UL, UR):
+    try:
+        return _bits(scheme.fluctuations(UL, UR, 0.1, 0.001))
+    except PathFVError as exc:
+        return type(exc)
+
+
+@every_declared_pair
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coupling_and_integral_equal_the_two_calls(family, system_name, data):
+    system = SYSTEMS[system_name]()
+    path = family.for_system(system, 0.03)
+    pairs = data.draw(st.lists(PAIRS[system_name], min_size=1, max_size=6))
+    UL, UR = (np.array(side, dtype=float) for side in zip(*pairs))
+    for u_l, u_r in ((UL, UR), (UL[0], UR[0])):
+        coupling, integral = path.coupling_and_integral(system, u_l, u_r)
+        assert _bits(coupling) == _bits(path.coupling(system, u_l, u_r))
+        assert _bits(integral()) == _bits(path.closed_form_integral(system, u_l, u_r))
+    # the same family computing the two by separate calls
+    two_calls = type("TwoCalls", (family,), {
+        "coupling_and_integral": PathFamily.coupling_and_integral,
+    }).for_system(system, 0.03)
+    schemes = [RoeScheme]
+    if system_name == SW.name:
+        schemes.append(ModifiedLaxFriedrichsScheme)
+    for cls in schemes:
+        assert _fluctuation_bits(cls(system, path), UL, UR) == _fluctuation_bits(
+            cls(system, two_calls), UL, UR)
+
+
+@pytest.mark.parametrize("scheme_cls", [RoeScheme, ModifiedLaxFriedrichsScheme])
+def test_equilibrium_step_solves_the_intermediate_states_once(scheme_cls, monkeypatch):
+    import pathfv.paths as paths_mod
+
+    solve = paths_mod._equilibrium_h
+    lanes = []
+
+    def counting(h_l, q, delta_sigma, g):
+        lanes.append(np.size(h_l))
+        return solve(h_l, q, delta_sigma, g)
+
+    monkeypatch.setattr(paths_mod, "_equilibrium_h", counting)
+    # sigma jumps at three interfaces, one of them below the coupling's
+    # 1e-10 threshold
+    sigma = [0.0, 0.0, 1e-12, 0.05, 0.05, 0.1]
+    W = np.stack([[1.0, 1.0, 1.0, 1.1, 1.2, 1.2], np.full(6, 0.5), sigma], axis=-1)
+    sol = make_solution(W)
+    scheme = scheme_cls(SW, PATHS["equilibrium"].for_system(SW))
+    scheme.advance(sol, 0.5 * cfl_dt(SW, sol, scheme.max_cfl))
+    assert lanes == [3]
 
 
 @pytest.mark.parametrize("scheme_cls", [RoeScheme, ModifiedLaxFriedrichsScheme])
