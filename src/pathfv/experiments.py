@@ -12,16 +12,20 @@ addressed by name.  A run writes, under ``<out>/<name>/``:
 A sweep writes the exact curve, one numerical curve per (mesh, epsilon),
 and a report with curve distances.  Reruns with the same config and seed
 produce byte-identical files; a manifest can be fed back in as the config.
+
+``validate_config`` checks a config against one rule table, built from a few
+rule constructors, and against the rules that depend on the chosen system,
+path and scheme; a refusal is a ConfigError naming the field's JSON path.
 """
 
 import inspect
 import json
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .diagnostics import mass_track, rh_residual
@@ -81,143 +85,148 @@ BOUNDARIES = {
     "inflow_left": lambda sol0: DirichletBoundary(left=sol0.states[0]),
 }
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
 
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["system", "path", "scheme", "cfl"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "description": {"type": "string"},
-        "system": {
-            "type": "object",
-            "required": ["id"],
-            "additionalProperties": False,
-            "properties": {
-                "id": {"enum": list(SYSTEMS)},
-                "g": _POS,
-                "r": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "path": {
-            "type": "object",
-            "required": ["id"],
-            "additionalProperties": False,
-            "properties": {
-                "id": {"enum": list(PATHS)},
-                "epsilon": {"type": "number", "minimum": 0},
-            },
-        },
-        "scheme": {
-            "type": "object",
-            "required": ["id"],
-            "additionalProperties": False,
-            "properties": {"id": {"enum": list(SCHEMES)}},
-        },
-        "grid": {
-            "type": "object",
-            "required": ["x_min", "x_max", "cells"],
-            "additionalProperties": False,
-            "properties": {
-                "x_min": _NUM,
-                "x_max": _NUM,
-                "cells": {"type": "integer", "minimum": 3},
-            },
-        },
-        "meshes": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 3},
-            "minItems": 1,
-        },
-        "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "t_end": _POS,
-        "initial": {
-            "type": "object",
-            "required": ["id"],
-            "properties": {"id": {"enum": list(INITIALS)}},
-        },
-        "boundary": {
-            "type": "object",
-            "required": ["id"],
-            "properties": {"id": {"enum": list(BOUNDARIES)}},
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "snapshot_times": {"type": "array", "items": _NUM},
-                "mass_ledger": {
-                    "type": "object",
-                    "required": ["component", "half_width", "flux_rate"],
-                    "properties": {
-                        "component": {"type": "integer", "minimum": 0},
-                        "half_width": _POS,
-                        "flux_rate": _NUM,
-                    },
-                },
-                "shock_fit": {
-                    "type": "object",
-                    "required": ["component", "window"],
-                    "properties": {
-                        "component": {"type": "integer", "minimum": 0},
-                        "window": {
-                            "type": "array",
-                            "items": _NUM,
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                        "threshold": _POS,
-                        "plateau_cells": {"type": "integer", "minimum": 1},
-                        "margin_cells": {"type": "integer", "minimum": 0},
-                        "fit_order": {"type": "integer", "minimum": 1},
-                        "flatten": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 0},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                    },
-                },
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "required": ["fixed_state", "fixed_side", "family", "meshes_dx",
-                         "domain", "t_end", "snapshot_times", "window"],
-            "additionalProperties": False,
-            "properties": {
-                "fixed_state": {"type": "array", "items": _NUM},
-                "fixed_side": {"enum": ["left", "right"]},
-                "family": {"type": "integer", "minimum": 1},
-                "xi_targets": {"type": "array", "items": _NUM, "minItems": 1},
-                "component_targets": {
-                    "type": "object",
-                    "required": ["component", "values"],
-                    "properties": {
-                        "component": {"type": "integer", "minimum": 0},
-                        "values": {"type": "array", "items": _NUM, "minItems": 1},
-                    },
-                },
-                "epsilons": {"type": "array", "items": {"type": "number", "minimum": 0}},
-                "meshes_dx": {"type": "array", "items": _POS, "minItems": 1},
-                "domain": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-                "t_end": _POS,
-                "snapshot_times": {"type": "array", "items": _NUM, "minItems": 2},
-                "window": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-                "extract_component": {"type": "integer", "minimum": 0},
-                "threshold": _POS,
-                "trace_steps": {"type": "integer", "minimum": 4},
-                "trace_pad": {"type": "number", "minimum": 0},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
+# ---------------------------------------------------------------------------
+# Config rules.  A rule is a function (value, field) that raises ConfigError
+# at ``field``, the value's JSON path ("" at the root).  It checks a value
+# before its entries, and a section's keys in sorted order.
 
-_validator = Draft202012Validator(SCHEMA)
+
+def _refuse(field, reason):
+    raise ConfigError(f"{field}: {reason}", field=field)
+
+
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
+
+
+def _number(integer=False, **bounds):
+    """A JSON number (integer if ``integer``) within ``bounds``: gt, ge, lt or
+    le, where None is no bound.  Booleans are not numbers."""
+    kinds = int if integer else (int, float)
+
+    def check(value, field):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            _refuse(field, "must be an integer" if integer else "must be a number")
+        for key, bound in bounds.items():
+            holds, sign = _BOUNDS[key]
+            if bound is not None and not holds(value, bound):
+                _refuse(field, f"must be {sign} {bound}")
+    return check
+
+
+def _string(value, field):
+    if not isinstance(value, str):
+        _refuse(field, "must be a string")
+
+
+def _one_of(keys):
+    """One of ``keys``; a registry gives its config ids."""
+    def check(value, field):
+        if not (isinstance(value, str) and value in keys):
+            _refuse(field, f"must be one of {', '.join(keys)}")
+    return check
+
+
+def _list(item, min_len=None, max_len=None):
+    """A JSON array of ``min_len`` to ``max_len`` entries, each passing ``item``."""
+    def check(value, field):
+        if not isinstance(value, list):
+            _refuse(field, "must be a list")
+        if len(value) < (min_len or 0):
+            _refuse(field, f"needs at least {min_len} entries")
+        if max_len is not None and len(value) > max_len:
+            _refuse(field, f"takes at most {max_len} entries")
+        for i, entry in enumerate(value):
+            item(entry, f"{field}/{i}")
+    return check
+
+
+def _section(required, optional=None, closed=True):
+    """A JSON object with ``required`` and ``optional`` keys (key -> rule) and,
+    unless ``closed``, any other.  A missing key is named by its section or,
+    at the root, by itself."""
+    rules = {**required, **(optional or {})}
+
+    def check(value, field):
+        if not isinstance(value, dict):
+            _refuse(field or "<root>", "must be an object")
+        for key in required:
+            if key not in value:
+                _refuse(field or key, f"{key} is required")
+        for key in value:
+            if closed and key not in rules:
+                _refuse(field or "<root>", f"unknown key {key!r}")
+        for key in sorted(rules):
+            if key in value:
+                rules[key](value[key], f"{field}/{key}" if field else key)
+    return check
+
+
+_NUMBER = _number()
+_POSITIVE = _number(gt=0)
+_NATURAL = _number(integer=True, ge=0)
+_CELLS = _number(integer=True, ge=3)
+_INTERVAL = _list(_NUMBER, 2, 2)
+
+
+def _rules(n):
+    """The rule table of a config whose system has ``n`` components (None:
+    component indices, families and states unbounded)."""
+    index = _number(integer=True, ge=0, lt=n)
+    state = _list(_NUMBER, n, n)
+    return _section(
+        required={
+            "system": _section({"id": _one_of(SYSTEMS)},
+                               {"g": _POSITIVE, "r": _number(ge=0, lt=1)}),
+            "path": _section({"id": _one_of(PATHS)}, {"epsilon": _number(ge=0)}),
+            "scheme": _section({"id": _one_of(SCHEMES)}),
+            "cfl": _number(gt=0, le=1),
+        },
+        optional={
+            "name": _string,
+            "description": _string,
+            "seed": _NATURAL,
+            "grid": _section({"x_min": _NUMBER, "x_max": _NUMBER, "cells": _CELLS}),
+            "meshes": _list(_CELLS, min_len=1),
+            "t_end": _POSITIVE,
+            # the builder reads the other keys itself
+            "initial": _section({"id": _one_of(INITIALS)},
+                                {"left": state, "right": state}, closed=False),
+            "boundary": _section({"id": _one_of(BOUNDARIES)}),
+            "output": _section({}, {
+                "snapshot_times": _list(_NUMBER),
+                "mass_ledger": _section({"component": index, "half_width": _POSITIVE,
+                                         "flux_rate": _NUMBER}),
+                "shock_fit": _section({"component": index, "window": _INTERVAL}, {
+                    "threshold": _POSITIVE,
+                    "plateau_cells": _number(integer=True, ge=1),
+                    "margin_cells": _NATURAL,
+                    "fit_order": _number(integer=True, ge=1),
+                    "flatten": _list(index, 2, 2),
+                }),
+            }),
+            "sweep": _section({
+                "fixed_state": state,
+                "fixed_side": _one_of(("left", "right")),
+                "family": _number(integer=True, ge=1, le=n),
+                "meshes_dx": _list(_POSITIVE, min_len=1),
+                "domain": _INTERVAL,
+                "t_end": _POSITIVE,
+                "snapshot_times": _list(_NUMBER, min_len=2),
+                "window": _INTERVAL,
+            }, {
+                "xi_targets": _list(_NUMBER, min_len=1),
+                "component_targets": _section({"component": index,
+                                               "values": _list(_NUMBER, min_len=1)}),
+                "epsilons": _list(_number(ge=0)),
+                "extract_component": index,
+                "threshold": _POSITIVE,
+                "trace_steps": _number(integer=True, ge=4),
+                "trace_pad": _number(ge=0),
+            }),
+        },
+    )
 
 
 def builtin_names():
@@ -244,7 +253,8 @@ def load_config(source):
                     f"known: {', '.join(builtin_names())}",
                     field="name",
                 )
-    if "config" in cfg and "system" not in cfg:  # a manifest round-trips
+    if isinstance(cfg, dict) and "config" in cfg and "system" not in cfg:
+        # a manifest round-trips
         inner = dict(cfg["config"])
         if "seed" in cfg and "seed" not in inner:
             inner["seed"] = cfg["seed"]
@@ -253,40 +263,39 @@ def load_config(source):
 
 
 def validate_config(cfg):
-    """Schema plus semantic checks; raises ConfigError with a field path."""
-    errors = sorted(_validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"{where}: {e.message}", field=where)
+    """The rule table, the checks that depend on the chosen system, path and
+    scheme, then the table again, bounded by the system's component count;
+    raises ConfigError with a field path."""
+    _rules(None)(cfg, "")
     system_id, path_id = cfg["system"]["id"], cfg["path"]["id"]
     # a system takes the physical parameters its constructor names
     params = inspect.signature(SYSTEMS[system_id]).parameters
     for key in cfg["system"]:
         if key != "id" and key not in params:
-            raise ConfigError(f"system/{key}: the {system_id} system takes no {key}",
-                              field=f"system/{key}")
+            _refuse(f"system/{key}", f"the {system_id} system takes no {key}")
     scheme = SCHEMES[cfg["scheme"]["id"]]
-    sweep = cfg.get("sweep")
+    sweep = cfg.get("sweep", {})
     shaped = PATHS[path_id].epsilon is not None
     refused, reason = scheme._refusal(system_id, PATHS[path_id]) or (None, None)
+    # a time evolution is what the run verb takes: no sweep, or an initial section
+    evolves = "sweep" not in cfg or "initial" in cfg
     for ok, field, why in (
         (cfg["cfl"] <= scheme.max_cfl, "cfl",
          f"{scheme.name} requires cfl <= {scheme.max_cfl}"),
         (refused is None, refused, reason),
         (shaped or "epsilon" not in cfg["path"], "path/epsilon",
          f"{path_id} has no shape parameter"),
-        (shaped or "epsilons" not in (sweep or {}), "sweep/epsilons",
+        (shaped or "epsilons" not in sweep, "sweep/epsilons",
          f"{path_id} has no shape parameter"),
-        (sweep is not None or "grid" in cfg or "meshes" in cfg, "grid",
-         "required unless a sweep is given"),
-        (sweep is not None or ("t_end" in cfg and "initial" in cfg), "t_end",
-         "t_end and initial are required unless a sweep is given"),
-        (sweep is None or ("xi_targets" in sweep) != ("component_targets" in sweep),
+        (not evolves or "grid" in cfg, "grid", "a time evolution needs a grid"),
+        (not evolves or ("t_end" in cfg and "initial" in cfg), "t_end",
+         "a time evolution needs t_end and initial"),
+        ("sweep" not in cfg or ("xi_targets" in sweep) != ("component_targets" in sweep),
          "sweep", "give exactly one of xi_targets / component_targets"),
     ):
         if not ok:
-            raise ConfigError(f"{field}: {why}", field=field)
+            _refuse(field, why)
+    _rules(len(SYSTEMS[system_id].components))(cfg, "")
     return cfg
 
 
@@ -373,7 +382,7 @@ def run(cfg, out_dir, seed=None, threads=1):
     cfg, seed, name, out = _setup(
         cfg, out_dir, seed, "initial",
         "config has no time-evolution section; use the sweep verb", "experiment")
-    meshes = cfg.get("meshes", [cfg["grid"]["cells"]]) if "grid" in cfg else cfg["meshes"]
+    meshes = cfg.get("meshes", [cfg["grid"]["cells"]])
     ocfg = cfg.get("output", {})
 
     def one_mesh(cells):

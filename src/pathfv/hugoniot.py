@@ -316,19 +316,16 @@ def extract_shock(sol_sequence, component, threshold=0.1, window=None,
     times = np.array([s.t for s in sol_sequence])
     positions = []
     for sol in sol_sequence:
-        x = sol.grid.centers
-        vals = sol.states[:, component]
-        _, centroid = _front_cells(x, vals, sol.grid.dx, threshold, window)
-        positions.append(centroid)
+        cells, front_x = _front_cells(sol.grid.centers, sol.states[:, component],
+                                      sol.grid.dx, threshold, window)
+        positions.append(front_x)
     positions = np.array(positions)
     order = min(fit_order, len(times) - 1)
     poly = np.polyfit(times, positions, order)
     xi = float(np.polyval(np.polyder(poly), times[-1]))
 
+    # the loop ended on the last snapshot: its front gives the limits
     last = sol_sequence[-1]
-    cells, front_x = _front_cells(
-        last.grid.centers, last.states[:, component], last.grid.dx, threshold, window
-    )
     lo = cells[0] - margin_cells
     hi = cells[-1] + 1 + margin_cells
     left_lo = max(lo - plateau_cells, 0)

@@ -7,9 +7,6 @@ shock of speed xi is
     xi (u_r - u_l) = int_0^1 A(Phi(s; u_l, u_r)) dPhi/ds (s; u_l, u_r) ds.
 
 Every family satisfies Phi(0) = u_l, Phi(1) = u_r and Phi(s; u, u) = u.
-Families declare whether they follow integral curves of the linearly
-degenerate field (``follows_equilibria``); the flag is metadata asserted by
-tests, never trusted blindly.
 
 A family's ``couplings`` table maps each system it is defined for, by
 name, to the function giving the path averages of the system's
@@ -53,7 +50,6 @@ class PathFamily:
 
     name = "path"
     breakpoints = (0.0, 1.0)
-    follows_equilibria = False
     epsilon = None
     couplings = {}
 
@@ -363,7 +359,6 @@ class EquilibriumPath(PathFamily):
 
     name = "equilibrium"
     breakpoints = (0.0, 0.5, 1.0)
-    follows_equilibria = True
 
     @classmethod
     def for_system(cls, system, epsilon=0.0):

@@ -52,8 +52,6 @@ from .systems import SYSTEMS, ShallowWaterSystem, SimplifiedSystem, require_dist
 
 log = logging.getLogger(__name__)
 
-ZERO_EIG_RTOL = 1e-10  # |lam| below this (relative) counts as a standing mode
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -355,10 +353,9 @@ class ModifiedLaxFriedrichsScheme(Scheme):
 
     def fluctuations(self, UL, UR, dx, dt):
         lam, K, coeff, integral = _roe_eigendata(self.system, self.path, UL, UR)
-        # max |lam| of ascending lam, from its ends
-        scale = np.maximum(np.abs(lam[..., :1]), np.abs(lam[..., -1:]))
-        moving = np.abs(lam) >= ZERO_EIG_RTOL * scale
-        ident = np.where(moving, 1.0, 0.0)
+        # the standing eigenvalue is exactly 0; the distinctness check that
+        # built lam has refused every moving one near it
+        ident = np.where(lam != 0.0, 1.0, 0.0)
         wm = 0.5 * (-(dx / dt) * ident + lam)
         wp = 0.5 * (+(dx / dt) * ident + lam)
         mm = np.einsum("...ij,...j->...i", K, wm * coeff)

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from pathfv.cli import main
 from pathfv.experiments import (
     BOUNDARIES,
     INITIALS,
-    SCHEMA,
     builtin_names,
     load_config,
     run,
@@ -69,6 +69,16 @@ def tiny_sweep_config():
     }
 
 
+def with_value(cfg, key, value):
+    """``cfg`` with ``value`` set at the JSON path ``key``."""
+    *sections, last = key.split("/")
+    node = cfg
+    for section in sections:
+        node = node[section]
+    node[last] = value
+    return cfg
+
+
 class TestValidation:
     def test_builtin_configs_all_validate(self):
         names = builtin_names()
@@ -122,15 +132,26 @@ class TestValidation:
             validate_config(cfg)
         assert err.value.field == "path/id"
 
-    def test_schema_enums_are_the_registries(self):
-        props = SCHEMA["properties"]
-        for section, registry in (("system", SYSTEMS), ("path", PATHS),
-                                  ("scheme", SCHEMES)):
-            assert props[section]["properties"]["id"]["enum"] == list(registry)
+    def test_config_ids_are_the_registries(self):
+        for registry in (SYSTEMS, PATHS, SCHEMES):
             for key, cls in registry.items():
                 assert cls.name == key
-        for section, registry in (("initial", INITIALS), ("boundary", BOUNDARIES)):
-            assert props[section]["properties"]["id"]["enum"] == list(registry)
+        for section, registry in (("system", SYSTEMS), ("path", PATHS), ("scheme", SCHEMES),
+                                  ("initial", INITIALS), ("boundary", BOUNDARIES)):
+            # every key is accepted: some built-in config uses it
+            used = {}
+            for name in builtin_names():
+                cfg = load_config(name)
+                if section in cfg:
+                    used.setdefault(cfg[section]["id"], cfg)
+            assert sorted(used) == sorted(registry), section
+            for cfg in used.values():
+                validate_config(cfg)
+            bad = copy.deepcopy(next(iter(used.values())))
+            bad[section]["id"] = "nonsense"
+            with pytest.raises(ConfigError) as err:
+                validate_config(bad)
+            assert err.value.field == f"{section}/id"
 
     def test_unknown_initial_id(self):
         cfg = tiny_run_config(initial={"id": "nonsense"})
@@ -164,6 +185,66 @@ class TestValidation:
         cfg["sweep"]["xi_targets"] = [-0.2]
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("name, section", [
+        ("dambreak_residual_roe", "output/shock_fit"),
+        ("simplified_rmp", "output/mass_ledger"),
+        ("simplified_rmp", "boundary"),
+        ("simplified_hugoniot", "sweep/component_targets"),
+    ])
+    def test_sections_refuse_unknown_keys(self, name, section):
+        # a misspelt key is not silently ignored
+        cfg = with_value(load_config(name), f"{section}/plateau_cell", 6)
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == section
+        assert str(err.value) == f"{section}: unknown key 'plateau_cell'"
+
+    def test_initial_takes_the_keys_its_builder_reads(self):
+        cfg = tiny_run_config()
+        cfg["initial"]["note"] = "read by no builder"
+        validate_config(cfg)
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("grid/cells", 400.0, "grid/cells"),
+        ("meshes", [100, 200.0], "meshes/1"),
+        ("seed", 0.0, "seed"),
+        ("output/mass_ledger/component", 0.0, "output/mass_ledger/component"),
+        ("grid/cells", True, "grid/cells"),
+    ])
+    def test_integer_fields_take_json_integers_only(self, key, value, field):
+        cfg = with_value(tiny_run_config(), key, value)
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: must be an integer"
+
+    @pytest.mark.parametrize("key, value", [("family", 1.0), ("trace_steps", 40.0)])
+    def test_sweep_integer_fields_take_json_integers_only(self, key, value):
+        cfg = tiny_sweep_config()
+        cfg["sweep"][key] = value
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == f"sweep/{key}"
+
+    def test_booleans_are_not_numbers(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config(tiny_run_config(cfl=True))
+        assert str(err.value) == "cfl: must be a number"
+
+    @pytest.mark.parametrize("key", ["system", "path", "scheme", "cfl"])
+    def test_a_missing_top_level_key_names_itself(self, key):
+        cfg = tiny_run_config()
+        del cfg[key]
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == key
+
+    @pytest.mark.parametrize("root", [[], "dambreak", 5, None])
+    def test_a_root_that_is_not_an_object(self, root):
+        with pytest.raises(ConfigError) as err:
+            validate_config(root)
+        assert str(err.value) == "<root>: must be an object"
 
 
 class TestRun:
@@ -341,6 +422,43 @@ class TestCli:
             assert main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("runtime error: DomainError: ") and why in err
+
+    def test_a_run_config_needs_a_grid(self, tmp_path, capsys):
+        cfg = load_config("dambreak")
+        del cfg["grid"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("configuration error: grid: ")
+
+    def test_a_root_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("5")
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: <root>: ")
+
+    @pytest.mark.parametrize("name, verb, key, value, field", [
+        ("simplified_rmp", "run", "output/mass_ledger/component", 7, None),
+        ("dambreak_residual_roe", "run", "output/shock_fit/component", 9, None),
+        ("dambreak_residual_roe", "run", "output/shock_fit/flatten", [0, 3],
+         "output/shock_fit/flatten/1"),
+        ("simplified_hugoniot", "sweep", "sweep/extract_component", 4, None),
+        ("simplified_hugoniot", "sweep", "sweep/component_targets/component", 2, None),
+        ("simplified_hugoniot", "sweep", "sweep/family", 3, None),
+        ("simplified_rmp", "run", "initial/left", [1.0, 1.0, 0.0], None),
+        ("simplified_rmp", "run", "initial/right", [1.8], None),
+        ("simplified_hugoniot", "sweep", "sweep/fixed_state", [1.0, 1.0, 0.0], None),
+    ])
+    def test_indices_and_states_must_fit_the_system(self, tmp_path, capsys,
+                                                     name, verb, key, value, field):
+        field = field or key
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_value(load_config(name), key, value)))
+        for argv in (["validate", str(bad)], [verb, str(bad), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+        assert not (tmp_path / "o").exists()
 
     def test_threads_match_serial(self, tmp_path):
         cfg = tiny_run_config()
