@@ -28,7 +28,8 @@ def _add_common(sub):
     sub.add_argument("--out", default="out", help="output directory (default: ./out)")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent runs")
+                     help="threads for the independent meshes or jobs: the same "
+                          "output, and no faster than 1 (see the README)")
 
 
 def make_parser():

@@ -72,11 +72,14 @@ def _stationary_contact(spec, system, x):
     return _jump(x, spec.get("x0", 0.0), left, right)
 
 
-# initial-condition id -> builder (spec, system, cell centres) -> states
+# initial-condition id -> (builder (spec, system, cell centres) -> states,
+# the keys it requires, the keys it may take), each key "state" or "number"
 INITIALS = {
-    "riemann": _riemann,
-    "dam_break_over_bump": _dam_break_over_bump,
-    "stationary_contact": _stationary_contact,
+    "riemann": (_riemann, {"left": "state", "right": "state"}, {"x0": "number"}),
+    "dam_break_over_bump": (_dam_break_over_bump, {}, dict.fromkeys(
+        ("base_depth", "bump_amplitude", "bump_center", "x_dam", "surface_lift"), "number")),
+    "stationary_contact": (_stationary_contact, {"left": "state", "sigma_right": "number"},
+                           {"x0": "number"}),
 }
 
 # boundary id -> builder (initial solution) -> boundary
@@ -142,10 +145,9 @@ def _list(item, min_len=None, max_len=None):
     return check
 
 
-def _section(required, optional=None, closed=True):
-    """A JSON object with ``required`` and ``optional`` keys (key -> rule) and,
-    unless ``closed``, any other.  A missing key is named by its section or,
-    at the root, by itself."""
+def _section(required, optional=None):
+    """A JSON object with ``required`` and ``optional`` keys (key -> rule) and
+    no other.  A missing key is named by its own path."""
     rules = {**required, **(optional or {})}
 
     def check(value, field):
@@ -153,13 +155,26 @@ def _section(required, optional=None, closed=True):
             _refuse(field or "<root>", "must be an object")
         for key in required:
             if key not in value:
-                _refuse(field or key, f"{key} is required")
+                _refuse(f"{field}/{key}" if field else key, "missing required key")
         for key in value:
-            if closed and key not in rules:
+            if key not in rules:
                 _refuse(field or "<root>", f"unknown key {key!r}")
         for key in sorted(rules):
             if key in value:
                 rules[key](value[key], f"{field}/{key}" if field else key)
+    return check
+
+
+def _tagged(sections):
+    """A JSON object whose ``id``, one of the keys of ``sections``, picks the
+    section rule that checks the whole object."""
+    def check(value, field):
+        if not isinstance(value, dict):
+            _refuse(field, "must be an object")
+        if "id" not in value:
+            _refuse(f"{field}/id", "missing required key")
+        _one_of(sections)(value["id"], f"{field}/id")
+        sections[value["id"]](value, field)
     return check
 
 
@@ -174,7 +189,11 @@ def _rules(n):
     """The rule table of a config whose system has ``n`` components (None:
     component indices, families and states unbounded)."""
     index = _number(integer=True, ge=0, lt=n)
-    state = _list(_NUMBER, n, n)
+    kinds = {"state": _list(_NUMBER, n, n), "number": _NUMBER}
+
+    def declared(keys):
+        return {key: kinds[kind] for key, kind in keys.items()}
+
     return _section(
         required={
             "system": _section({"id": _one_of(SYSTEMS)},
@@ -190,9 +209,10 @@ def _rules(n):
             "grid": _section({"x_min": _NUMBER, "x_max": _NUMBER, "cells": _CELLS}),
             "meshes": _list(_CELLS, min_len=1),
             "t_end": _POSITIVE,
-            # the builder reads the other keys itself
-            "initial": _section({"id": _one_of(INITIALS)},
-                                {"left": state, "right": state}, closed=False),
+            # each builder declares the keys it reads
+            "initial": _tagged({
+                name: _section({"id": _string, **declared(required)}, declared(optional))
+                for name, (_, required, optional) in INITIALS.items()}),
             "boundary": _section({"id": _one_of(BOUNDARIES)}),
             "output": _section({}, {
                 "snapshot_times": _list(_NUMBER),
@@ -207,7 +227,7 @@ def _rules(n):
                 }),
             }),
             "sweep": _section({
-                "fixed_state": state,
+                "fixed_state": kinds["state"],
                 "fixed_side": _one_of(("left", "right")),
                 "family": _number(integer=True, ge=1, le=n),
                 "meshes_dx": _list(_POSITIVE, min_len=1),
@@ -312,7 +332,7 @@ def build_components(cfg, seed=None):
 def initial_solution(cfg, system, cells):
     grid = Grid(cfg["grid"]["x_min"], cfg["grid"]["x_max"], cells)
     spec = cfg["initial"]
-    return Solution(grid, 0.0, INITIALS[spec["id"]](spec, system, grid.centers))
+    return Solution(grid, 0.0, INITIALS[spec["id"]][0](spec, system, grid.centers))
 
 
 def boundary_for(cfg, sol):

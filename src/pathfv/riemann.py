@@ -163,8 +163,14 @@ def _build_fan(shape, w_l, w_r, h_m, q_m):
     lam1_l, lam2_r = _lam(h_l, q_l, -1.0), _lam(h_r, q_r, 1.0)
     sl1, sr1 = lam1_l, np.where(null1, lam1_l, _lam(h_m, q_m, -1.0))
     sl2, sr2 = np.where(null2, lam2_r, _lam(h_m, q_m, 1.0)), lam2_r
-    xi1 = (q_m - q_l) / (h_m - h_l)
-    xi2 = (q_r - q_m) / (h_r - h_m)
+    # a shock's speed [q]/[h] on its curve, as a function of h_m: the quotient
+    # of the differences cancels in a weak shock and is no more accurate than
+    # the middle state, so a wave of 1e-13 could move at any speed
+    xi1 = q_l / h_l - np.sqrt(q_l * h_m * (h_m + h_l) / (2.0 * h_l))
+    h_sum = h_r + h_m
+    t = 0.5 * np.float_power(h_r - h_m, 2.0) * h_sum
+    xi2 = (2.0 * q_r + h_m * (0.5 * (h_m - h_r) * h_sum
+                              + np.sqrt(0.5 * h_sum * (4.0 * q_r + t)))) / (2.0 * h_r)
     for kind, xi, speeds in ((kind1, xi1, (sl1, sr1)), (kind2, xi2, (sl2, sr2))):
         for s in speeds:
             np.copyto(s, xi, where=kind == SHOCK)

@@ -95,10 +95,8 @@ class Solution:
         if states.shape[0] != self.grid.m:
             raise DomainError("states shape does not match the grid")
         if not np.all(np.isfinite(states)):
-            raise BlowUpError(
-                "non-finite state in solution",
-                cell=int(np.argwhere(~np.isfinite(states))[0][0]),
-            )
+            cell = int(np.argwhere(~np.isfinite(states))[0][0])
+            raise BlowUpError(f"non-finite state at cell {cell}", cell=cell)
         object.__setattr__(self, "states", states)
 
 
@@ -186,21 +184,19 @@ def _check_cfl(scheme, sol, dt, lambda_max):
 
 
 def _next_solution(system, sol, dt, new):
-    """The Solution ``new`` one step of ``dt`` after ``sol``: refuses
-    non-finite values, warns about inadmissible cells and carries
-    max |lambda| from the same admissibility pass."""
-    if not np.all(np.isfinite(new)):
-        cell = int(np.argwhere(~np.isfinite(new))[0][0])
-        raise BlowUpError(f"scheme blew up at cell {cell}", cell=cell)
-    n = sol.n + 1
+    """The Solution ``new`` one step of ``dt`` after ``sol``; its one scan
+    refuses non-finite values before the admissibility pass, which warns
+    about inadmissible cells and gives the carried max |lambda|."""
+    nxt = Solution(sol.grid, sol.t + dt, new, sol.n + 1)
     ok, speed = system.is_admissible(new, with_speed=True)
     if not np.all(ok):
         idx = np.nonzero(~np.asarray(ok))[0]
         log.warning(
             "step %d: %d cells left the admissible region (first at cell %d)",
-            n, idx.size, int(idx[0]),
+            nxt.n, idx.size, int(idx[0]),
         )
-    return Solution(sol.grid, sol.t + dt, new, n, max_speed=speed)
+    object.__setattr__(nxt, "max_speed", speed)
+    return nxt
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ Three quasilinear systems are provided:
     Internal eigenvalues turn complex when the interfacial shear is too
     large, and such states are rejected.
 
-Each system subclasses ``System`` and declares its config id (``name``)
-and ``components``.  It states its eigenstructure once: ``eigenvalues`` in
-ascending order and ``_eigenvectors`` for them; ``System`` derives
-``eigensystem`` and ``max_abs_speed`` from the two, and ``distinct`` is the
-one rule for coincident eigenvalues.  Given a path's coupling (see
+Each system subclasses ``System`` and declares its config id (``name``),
+``components`` and ``thickness``, the components that must be positive,
+which ``System._columns`` checks.  It states its eigenstructure once:
+``eigenvalues`` in ascending order and ``_eigenvectors`` for them; ``System``
+derives ``eigensystem`` and ``max_abs_speed`` from the two, and ``distinct``
+is the one rule for coincident eigenvalues.  Given a path's coupling (see
 ``paths``), ``jump_integral`` is the path integral of A,
 ``roe_eigensystem`` the eigenpairs of the Roe matrix and
 ``wave_strengths`` the coordinates of a jump in their eigenvectors.
@@ -60,13 +61,6 @@ from .errors import (
 DISTINCTNESS_RTOL = 1e-8
 # Relative imaginary part above which quartic roots count as complex.
 COMPLEX_RTOL = 1e-9
-
-
-def _as_states(w, n):
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != n:
-        raise DomainError(f"state must have {n} components, got shape {w.shape}")
-    return w
 
 
 def distinct(lam):
@@ -101,11 +95,6 @@ def _roe_velocity(h_l, u_l, h_r, u_r):
     return (sl * u_l + sr * u_r) / (sl + sr)
 
 
-def _check_roe_thickness(*h):
-    if any(np.any(x <= 0) for x in h):
-        raise DomainError("Roe average requires positive thickness")
-
-
 def normalize_eigenvectors(K):
     """Unit Euclidean columns with the first entry of |x| > 1e-14 positive."""
     K = np.asarray(K, dtype=float)
@@ -119,7 +108,25 @@ def normalize_eigenvectors(K):
 class System:
     """Base of the systems: ``eigensystem`` and ``max_abs_speed`` from the
     subclass's ascending ``eigenvalues(w)`` and its eigenvector columns
-    ``_eigenvectors(w, lam)``."""
+    ``_eigenvectors(w, lam)``, and the state checks from its ``thickness``:
+    the indices of the components that must be positive."""
+
+    def _columns(self, w):
+        """The components of the states ``w`` (..., N), one array each;
+        refuses a wrong component count or a non-positive thickness with
+        ``DomainError``."""
+        w = np.asarray(w, dtype=float)
+        n = len(self.components)
+        if w.shape[-1] != n:
+            raise DomainError(f"state must have {n} components, got shape {w.shape}")
+        if any(np.any(w[..., i] <= 0) for i in self.thickness):
+            names = ", ".join(self.components[i] for i in self.thickness)
+            raise DomainError(f"the {self.name} system requires {names} > 0")
+        return [w[..., i] for i in range(n)]
+
+    def _positive(self, w):
+        """Mask of the states ``w`` (..., N) whose thickness is positive."""
+        return np.logical_and.reduce([w[..., i] > 0 for i in self.thickness])
 
     def eigensystem(self, w):
         """Ascending eigenvalues and unit right eigenvectors (columns of K);
@@ -138,6 +145,7 @@ class SimplifiedSystem(System):
 
     name = "simplified"
     components = ("h", "q")
+    thickness = (0,)
     # Only the first equation is a conservation law (flux q).
     conservative_mask = np.array([True, False])
 
@@ -148,12 +156,9 @@ class SimplifiedSystem(System):
         expansion of the momentum equation and with the stated eigenvalues
         u -+ h sqrt(u); see tests for a finite-difference cross-check.
         """
-        w = _as_states(w, 2)
-        h, q = w[..., 0], w[..., 1]
-        if np.any(h <= 0):
-            raise DomainError("simplified system requires h > 0")
+        h, q = self._columns(w)
         u = q / h
-        A = np.zeros(w.shape[:-1] + (2, 2))
+        A = np.zeros(h.shape + (2, 2))
         A[..., 0, 1] = 1.0
         A[..., 1, 0] = q * h - u * u
         A[..., 1, 1] = 2.0 * u
@@ -161,10 +166,7 @@ class SimplifiedSystem(System):
 
     def eigenvalues(self, w):
         """lam = (u - h sqrt(u), u + h sqrt(u)), sorted ascending."""
-        w = _as_states(w, 2)
-        h, q = w[..., 0], w[..., 1]
-        if np.any(h <= 0):
-            raise DomainError("simplified system requires h > 0")
+        h, q = self._columns(w)
         u = q / h
         if np.any(u < 0):
             raise HyperbolicityLossError(
@@ -180,9 +182,8 @@ class SimplifiedSystem(System):
     def roe_eigensystem(self, u_l, u_r, coupling):
         """Eigenpairs of [[0, 1], [c - u^2, 2 u]]: u the Roe velocity, c the
         path average of q h against h."""
-        h_l, q_l = u_l[..., 0], u_l[..., 1]
-        h_r, q_r = u_r[..., 0], u_r[..., 1]
-        _check_roe_thickness(h_l, h_r)
+        h_l, q_l = self._columns(u_l)
+        h_r, q_r = self._columns(u_r)
         u = _roe_velocity(h_l, q_l / h_l, h_r, q_r / h_r)
         if np.any(coupling <= 0):
             raise RoeConstructionError(
@@ -218,22 +219,23 @@ class SimplifiedSystem(System):
         """
         w = np.asarray(w, dtype=float)
         h, q = w[..., 0], w[..., 1]
+        positive = self._positive(w)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = q / h
             s = h * np.sqrt(u)
-            ok = (q > 0) & (h > 0) & (h < np.cbrt(16.0 * q))
+            ok = (q > 0) & positive & (h < np.cbrt(16.0 * q))
             ok &= s > 0.5 * DISTINCTNESS_RTOL * (u + s)
         if not with_speed:
             return ok
         speed = None
-        if np.all(h > 0) and np.all(u >= 0):
+        if positive.all() and np.all(u >= 0):
             speed = float(max(np.abs(u - s).max(), np.abs(u + s).max()))
         return ok, speed
 
     def conservative_flux(self, w):
-        w = _as_states(w, 2)
-        F = np.zeros_like(w)
-        F[..., 0] = w[..., 1]
+        h, q = self._columns(w)
+        F = np.zeros(h.shape + (2,))
+        F[..., 0] = q
         return F
 
 
@@ -278,6 +280,7 @@ class ShallowWaterSystem(System):
 
     name = "shallow_water"
     components = ("h", "q", "sigma")
+    thickness = (0,)
     conservative_mask = np.array([True, True, False])
 
     def __init__(self, g=9.81):
@@ -290,13 +293,10 @@ class ShallowWaterSystem(System):
         return np.stack([q, q * q / h + 0.5 * self.g * h * h], axis=-1)
 
     def matrix(self, w):
-        w = _as_states(w, 3)
-        h, q = w[..., 0], w[..., 1]
-        if np.any(h <= 0):
-            raise DomainError("shallow water requires h > 0")
+        h, q, _ = self._columns(w)
         u = q / h
         g = self.g
-        A = np.zeros(w.shape[:-1] + (3, 3))
+        A = np.zeros(h.shape + (3, 3))
         A[..., 0, 1] = 1.0
         A[..., 1, 0] = g * h - u * u
         A[..., 1, 1] = 2.0 * u
@@ -305,10 +305,7 @@ class ShallowWaterSystem(System):
         return A
 
     def eigenvalues(self, w):
-        w = _as_states(w, 3)
-        h, q = w[..., 0], w[..., 1]
-        if np.any(h <= 0):
-            raise DomainError("shallow water requires h > 0")
+        h, q, _ = self._columns(w)
         return _shallow_water_eigenvalues(q / h, np.sqrt(self.g * h))
 
     def _eigenvectors(self, w, lam):
@@ -321,9 +318,8 @@ class ShallowWaterSystem(System):
     def roe_eigensystem(self, u_l, u_r, coupling):
         """Eigenpairs of [[J, (0, c)^T], [0, 0]]: J the flux Jacobian at the
         Roe velocity and hbar, c the path average of -g h against sigma."""
-        h_l, q_l = u_l[..., 0], u_l[..., 1]
-        h_r, q_r = u_r[..., 0], u_r[..., 1]
-        _check_roe_thickness(h_l, h_r)
+        h_l, q_l, _ = self._columns(u_l)
+        h_r, q_r, _ = self._columns(u_r)
         u = _roe_velocity(h_l, q_l / h_l, h_r, q_r / h_r)
         hbar = 0.5 * (h_l + h_r)
         cbar = np.sqrt(self.g * hbar)
@@ -375,22 +371,22 @@ class ShallowWaterSystem(System):
         """
         w = np.asarray(w, dtype=float)
         h, q = w[..., 0], w[..., 1]
-        ok = h > 0
-        u = np.where(ok, q / np.where(h > 0, h, 1.0), 0.0)
+        positive = self._positive(w)
+        u = np.where(positive, q / np.where(positive, h, 1.0), 0.0)
         c = np.sqrt(self.g * np.abs(h))
         scale = np.abs(u) + c
         slow, fast = np.abs(u - c), np.abs(u + c)
-        ok = ok & (np.minimum(slow, fast) > DISTINCTNESS_RTOL * scale)
+        ok = positive & (np.minimum(slow, fast) > DISTINCTNESS_RTOL * scale)
         if not with_speed:
             return ok
         speed = None
-        if np.all(h > 0):
+        if positive.all():
             speed = float(max(np.maximum(slow, fast).max(), 0.0))
         return ok, speed
 
     def conservative_flux(self, w):
-        w = _as_states(w, 3)
-        F = np.zeros_like(w)
+        h, _, _ = self._columns(w)
+        F = np.zeros(h.shape + (3,))
         F[..., :2] = self.flux(w)
         return F
 
@@ -502,6 +498,7 @@ class TwoLayerSystem(System):
 
     name = "two_layer"
     components = ("h1", "q1", "h2", "q2")
+    thickness = (0, 2)
     conservative_mask = np.array([True, False, True, False])
 
     def __init__(self, g=9.81, r=0.95):
@@ -510,18 +507,11 @@ class TwoLayerSystem(System):
         self.g = float(g)
         self.r = float(r)
 
-    def _split(self, w):
-        w = _as_states(w, 4)
-        h1, q1, h2, q2 = (w[..., i] for i in range(4))
-        if np.any(h1 <= 0) or np.any(h2 <= 0):
-            raise DomainError("two-layer system requires h1, h2 > 0")
-        return h1, q1, h2, q2
-
     def matrix(self, w):
-        h1, q1, h2, q2 = self._split(w)
+        h1, q1, h2, q2 = self._columns(w)
         u1, u2 = q1 / h1, q2 / h2
         c1sq, c2sq = self.g * h1, self.g * h2
-        A = np.zeros(np.broadcast(h1, q1).shape + (4, 4))
+        A = np.zeros(h1.shape + (4, 4))
         A[..., 0, 1] = 1.0
         A[..., 1, 0] = c1sq - u1 * u1
         A[..., 1, 1] = 2.0 * u1
@@ -533,7 +523,7 @@ class TwoLayerSystem(System):
         return A
 
     def eigenvalues(self, w):
-        h1, q1, h2, q2 = self._split(w)
+        h1, q1, h2, q2 = self._columns(w)
         u1, u2 = q1 / h1, q2 / h2
         c1sq, c2sq = self.g * h1, self.g * h2
         return solve_characteristic_quartic(u1, u2, c1sq, c2sq, self.r * c1sq * c2sq)
@@ -542,7 +532,7 @@ class TwoLayerSystem(System):
         """For a root lam the eigenvector is (1, lam, kappa, lam*kappa) with
         kappa = ((lam - u1)^2 - c1^2)/c1^2, which follows from the first two
         block rows of A."""
-        h1, q1, _, _ = self._split(w)
+        h1, q1, _, _ = self._columns(w)
         u1 = q1 / h1
         c1sq = self.g * h1
         kappa = ((lam - u1[..., None]) ** 2 - c1sq[..., None]) / c1sq[..., None]
@@ -552,9 +542,8 @@ class TwoLayerSystem(System):
         """Eigenpairs of A with Roe-averaged layer speeds and the path
         averages (c1, c2) of h1 against h2 and h2 against h1 in its coupling
         entries g h1 and r g h2."""
-        h1l, q1l, h2l, q2l = (u_l[..., i] for i in range(4))
-        h1r, q1r, h2r, q2r = (u_r[..., i] for i in range(4))
-        _check_roe_thickness(h1l, h2l, h1r, h2r)
+        h1l, q1l, h2l, q2l = self._columns(u_l)
+        h1r, q1r, h2r, q2r = self._columns(u_r)
         u1 = _roe_velocity(h1l, q1l / h1l, h1r, q1r / h1r)
         u2 = _roe_velocity(h2l, q2l / h2l, h2r, q2r / h2r)
         c1, c2 = coupling
@@ -600,7 +589,7 @@ class TwoLayerSystem(System):
         This is an a-priori indicator only; the eigenvalue solver is the
         actual decision rule.
         """
-        h1, q1, h2, q2 = self._split(w)
+        h1, q1, h2, q2 = self._columns(w)
         u1, u2 = q1 / h1, q2 / h2
         gprime = (1.0 - self.r) * self.g
         return (u1 - u2) ** 2 / (gprime * (h1 + h2))
@@ -615,7 +604,7 @@ class TwoLayerSystem(System):
         w = np.asarray(w, dtype=float)
         scalar = w.ndim == 1
         batch = w.reshape(-1, 4)
-        ok = (batch[:, 0] > 0) & (batch[:, 2] > 0)
+        ok = self._positive(batch)
         speed = None
         idx = np.flatnonzero(ok)
         try:
@@ -633,8 +622,8 @@ class TwoLayerSystem(System):
         return (ok, speed) if with_speed else ok
 
     def conservative_flux(self, w):
-        h1, q1, h2, q2 = self._split(w)
-        F = np.zeros(np.broadcast(h1, q1).shape + (4,))
+        h1, q1, h2, q2 = self._columns(w)
+        F = np.zeros(h1.shape + (4,))
         F[..., 0] = q1
         F[..., 1] = q1 * q1 / h1 + 0.5 * self.g * h1 * h1
         F[..., 2] = q2

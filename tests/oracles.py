@@ -462,7 +462,7 @@ def _build_fan(w_l, w_r, h_m, q_m):
         waves.append(Wave(1, "null", (h_l, q_l), (h_l, q_l), s, s))
         h_m, q_m = h_l, q_l
     elif kind1 == "shock":
-        xi = (q_m - q_l) / (h_m - h_l)
+        xi = q_l / h_l - math.sqrt(q_l * h_m * (h_m + h_l) / (2.0 * h_l))
         waves.append(Wave(1, "shock", (h_l, q_l), (h_m, q_m), xi, xi))
     else:
         waves.append(
@@ -475,7 +475,10 @@ def _build_fan(w_l, w_r, h_m, q_m):
         s = _lam2(h_r, q_r)
         waves.append(Wave(2, "null", (h_r, q_r), (h_r, q_r), s, s))
     elif kind2 == "shock":
-        xi = (q_r - q_m) / (h_r - h_m)
+        h_sum = h_r + h_m
+        t = 0.5 * (h_r - h_m) ** 2 * h_sum
+        xi = (2.0 * q_r + h_m * (0.5 * (h_m - h_r) * h_sum
+                                 + math.sqrt(0.5 * h_sum * (4.0 * q_r + t)))) / (2.0 * h_r)
         waves.append(Wave(2, "shock", (h_m, q_m), (h_r, q_r), xi, xi))
     else:
         waves.append(

@@ -202,8 +202,22 @@ class TestValidation:
 
     def test_initial_takes_the_keys_its_builder_reads(self):
         cfg = tiny_run_config()
-        cfg["initial"]["note"] = "read by no builder"
+        cfg["initial"]["x0"] = 0.2  # optional for the riemann builder
         validate_config(cfg)
+        cfg["initial"]["note"] = "read by no builder"
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value) == "initial: unknown key 'note'"
+        # the keys of one builder are not those of another
+        cfg = tiny_run_config(initial={"id": "dam_break_over_bump", "left": [1.0, 1.0]})
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value) == "initial: unknown key 'left'"
+
+    def test_an_initial_section_without_id(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config(tiny_run_config(initial={"left": [1.0, 1.0]}))
+        assert str(err.value) == "initial/id: missing required key"
 
     @pytest.mark.parametrize("key, value, field", [
         ("grid/cells", 400.0, "grid/cells"),
@@ -458,6 +472,29 @@ class TestCli:
         for argv in (["validate", str(bad)], [verb, str(bad), "--out", str(tmp_path / "o")]):
             assert main(argv) == 1
             assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("simplified_rmp", "right", None),
+        ("contact_segments_roe", "sigma_right", None),
+        ("dambreak", "base_depth", "abc"),
+    ], ids=["riemann-without-right", "stationary-contact-without-sigma-right",
+            "string-base-depth"])
+    def test_a_builder_key_missing_or_mistyped_exits_1(self, tmp_path, capsys,
+                                                       name, key, value):
+        # these validated, and the run then died with KeyError or NumPy's
+        # UFuncNoLoopError
+        cfg = load_config(name)
+        if value is None:
+            del cfg["initial"][key]
+        else:
+            cfg["initial"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        why = "missing required key" if value is None else "must be a number"
+        for argv in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"configuration error: initial/{key}: {why}\n"
         assert not (tmp_path / "o").exists()
 
     def test_threads_match_serial(self, tmp_path):

@@ -266,6 +266,11 @@ SIMPLE_WAVES = [  # null, pure 1-shock, rarefaction then shock, transonic
     ((1.0, 1.0), (0.5, 0.5)),
     (WL_SONIC, (0.55, rarefaction_curve(1, (1.0, 1.0), 0.55))),
 ]
+# a 1-rarefaction whose middle state lands 1.9e-13 from w_r: a 2-shock of
+# that strength, which the quotient of its differences moved at 0.629 where
+# lam_2 = 1.088, so that the round trip found its speeds disordered
+NEAR_NULL_SHOCK = [((0.875, 0.3442043587565422),
+                    (0.42698796590169275, 0.30937286187168545))]
 
 
 def _solve_batch(pairs):
@@ -298,6 +303,7 @@ class TestBatchedSolverAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(PAIR_BATCH)
     @example(SIMPLE_WAVES)
+    @example(NEAR_NULL_SHOCK)
     def test_lax_inequalities_and_speed_order_hold_on_every_lane(self, pairs):
         _, _, fan = _solve_batch(pairs)
         lam = {1: lam1, 2: lam2}
@@ -309,12 +315,10 @@ class TestBatchedSolverAgainstOracle:
                 sl, sr = fan.speed_left[f - 1, i], fan.speed_right[f - 1, i]
                 if kind == SHOCK:
                     assert sl == sr
-                # the jump speed of a shock weaker than 1e-8 is a quotient of
-                # two differences that cancel, and can land anywhere; a 1-shock
-                # stronger than 1.3 may break the inequality (see
+                # a 1-shock stronger than 1.3 may break the inequality (see
                 # test_strong_one_shock_satisfies_lax)
                 thin, thick = sorted((left[0], right[0]))
-                if kind == SHOCK and 1e-8 < thick - thin and thick <= 1.3 * thin:
+                if kind == SHOCK and thick <= 1.3 * thin:
                     assert lam[f](left) > sl - 1e-9 and sl > lam[f](right) - 1e-9
                 if kind == RAREFACTION:
                     assert sl <= sr
@@ -325,6 +329,7 @@ class TestBatchedSolverAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(PAIR_BATCH)
     @example(SIMPLE_WAVES)
+    @example(NEAR_NULL_SHOCK)
     def test_forward1_backward2_round_trip_closes(self, pairs):
         w_l, w_r, fan = _solve_batch(pairs)
         h, q = fan.w_star[:, 0], fan.w_star[:, 1]

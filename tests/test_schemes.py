@@ -75,6 +75,22 @@ class TestGridSolution:
             make_solution([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]])
         assert err.value.cell == 1
 
+    def test_a_step_refuses_nan_before_the_admissibility_pass(self):
+        # the quartic of the two-layer admissibility pass refuses non-finite
+        # coefficients with its own DomainError; the step must name the cell
+        # first, from the Solution's one scan
+        class NaNMomentum(LaxFriedrichsScheme):
+            def fluctuations(self, UL, UR, dx, dt):
+                mm, mp = super().fluctuations(UL, UR, dx, dt)
+                mm[3, 1] = np.nan  # interface 3 updates cell 2
+                return mm, mp
+
+        scheme = NaNMomentum(TWO, SegmentsPath())
+        sol = make_solution(np.tile([1.0, 0.1, 0.8, -0.1], (6, 1)))
+        with pytest.raises(BlowUpError, match="cell 2") as err:
+            step(scheme, sol, 1e-4)
+        assert err.value.cell == 2
+
 
 class TestCflDt:
     def test_simplified_uniform(self):

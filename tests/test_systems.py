@@ -210,6 +210,56 @@ class TestTwoLayer:
             sys.eigenvalues([1.0, np.nan, 1.0, 0.0])
 
 
+# One valid state per system and a Roe coupling that fits it.
+STATE_RULE_CASES = [
+    (SimplifiedSystem(), [1.0, 1.0], np.array(1.0)),
+    (ShallowWaterSystem(9.81), [1.0, 0.5, 0.2], np.array(-9.81)),
+    (TwoLayerSystem(9.81, 0.95), [1.0, 0.1, 0.8, -0.1], (np.array(1.0), np.array(0.8))),
+]
+STATE_METHODS = {
+    "matrix": lambda sys, w, c: sys.matrix(w),
+    "eigenvalues": lambda sys, w, c: sys.eigenvalues(w),
+    "eigensystem": lambda sys, w, c: sys.eigensystem(w),
+    "conservative_flux": lambda sys, w, c: sys.conservative_flux(w),
+    "roe_eigensystem": lambda sys, w, c: sys.roe_eigensystem(w, w, c),
+}
+
+
+@pytest.mark.parametrize("method", sorted(STATE_METHODS))
+@pytest.mark.parametrize("case", STATE_RULE_CASES, ids=lambda c: c[0].name)
+def test_each_thickness_component_must_be_positive(case, method):
+    sys, state, coupling = case
+    call = STATE_METHODS[method]
+    good = np.array([state, state])
+    call(sys, good, coupling)  # the valid states pass
+    for i in sys.thickness:
+        for value in (0.0, -0.5):
+            bad = good.copy()
+            bad[1, i] = value
+            with pytest.raises(DomainError, match=f"{sys.components[i]}.* > 0"):
+                call(sys, bad, coupling)
+            # the admissibility mask reads the same declaration, and refuses
+            # nothing but flags the lane
+            assert sys.is_admissible(bad).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("method", sorted(STATE_METHODS))
+@pytest.mark.parametrize("case", STATE_RULE_CASES, ids=lambda c: c[0].name)
+def test_a_wrong_component_count_is_refused(case, method):
+    sys, state, coupling = case
+    n = len(sys.components)
+    for states in (np.array([state[:-1]] * 2), np.array([state + [1.0]] * 2)):
+        with pytest.raises(DomainError, match=f"must have {n} components"):
+            STATE_METHODS[method](sys, states, coupling)
+
+
+def test_thickness_names_the_layer_depths():
+    assert [[s.components[i] for i in s.thickness] for s, _, _ in STATE_RULE_CASES] == [
+        ["h"], ["h"], ["h1", "h2"]]
+    with pytest.raises(DomainError, match="h1, h2 > 0"):
+        TwoLayerSystem().hyperbolicity_indicator([1.0, 0.0, 0.0, 0.0])
+
+
 def test_admissibility_speed_is_max_abs_speed(rng):
     # the speed a step carries must equal max_abs_speed bit for bit, and be
     # None exactly where max_abs_speed raises
