@@ -22,11 +22,14 @@ config ids to the families.
 
 A Roe-type step needs both the coupling and the closed form; it takes them
 from ``coupling_and_integral``, which a family overrides when the two share
-work.  The equilibrium family's intermediate states come from one batched
-solve, ``_equilibrium_h``, over every pair of a call: once per step through
+work.  The equilibrium family's intermediate states come from one solve,
+``_equilibrium_h``, over every pair of a call: once per step through
 ``coupling_and_integral``, once per call of ``coupling`` or
-``closed_form_integral`` on their own.  Its memoized scalar entry
-``_equilibrium_h_cached`` serves ``hugoniot.stationary_contact_state`` only.
+``closed_form_integral`` on their own.  It checks the whole batch, then
+iterates up to ``_SCALAR_LANES`` lanes in Python floats and more in NumPy;
+both kernels return the same bits.  Its memoized one-lane entry
+``_equilibrium_h_cached``, which serves ``hugoniot.stationary_contact_state``
+only, runs the scalar kernel.
 """
 
 from functools import lru_cache
@@ -274,6 +277,12 @@ class SkewedSegmentsPath(PathFamily):
         return system.jump_integral(u_l, u_r, self.coupling(system, u_l, u_r))
 
 
+# batches of up to this many iterating lanes take the scalar kernel: the
+# largest size of BENCH_17.json's crossover table at which it was clearly
+# faster in every run (the kernels meet between 128 and 256 lanes)
+_SCALAR_LANES = 64
+
+
 @lru_cache(maxsize=4096)
 def _equilibrium_h_cached(h_l, q, delta_sigma, g):
     """One memoized scalar solve, for ``hugoniot.stationary_contact_state``."""
@@ -285,16 +294,20 @@ def _equilibrium_h(h_l, q, delta_sigma, g):
 
     Solves E(h) = E(h_l) + delta_sigma with E(h) = h + q^2/(2 g h^2) on the
     branch (sub- or supercritical) containing h_l, for every lane of the
-    broadcast arguments at once.  A lane leaves the iteration when its own
-    test passes, so its result does not depend on the rest of the batch.
+    broadcast arguments.  The checks run over the whole batch before any
+    lane iterates, so every batch raises the first failed check's error.
+    Then batches of up to ``_SCALAR_LANES`` iterating lanes run the scalar
+    kernel, larger ones the vector kernel; the two return the same bits,
+    so a lane's result does not depend on the rest of the batch.
     """
-    shape = np.broadcast(h_l, q, delta_sigma).shape
-    h_l, q, ds = (np.ravel(np.broadcast_to(v, shape)).astype(float)
-                  for v in (h_l, q, delta_sigma))
-    if np.any(h_l <= 0):
+    h_l, q, ds = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (h_l, q, delta_sigma)))
+    shape = h_l.shape
+    h_l, q, ds = h_l.ravel(), q.ravel(), ds.ravel()
+    if (h_l <= 0).any():
         raise DomainError("equilibrium solve requires h > 0")
     out = h_l + ds  # the solution where q = 0 or where sigma does not jump
-    if np.any((q == 0.0) & (out <= 0)):
+    if ((q == 0.0) & (out <= 0)).any():
         raise PathConstructionError(
             "equilibrium curve leaves h > 0 for this sigma jump"
         )
@@ -305,7 +318,7 @@ def _equilibrium_h(h_l, q, delta_sigma, g):
     h_c = (q * q / g) ** (1.0 / 3.0)  # critical point, E'(h_c) = 0
     e_min = h_c + a / h_c**2
     scale = np.maximum(1.0, np.abs(target))
-    if np.any(target < e_min - 1e-14 * scale):
+    if (target < e_min - 1e-14 * scale).any():
         raise PathConstructionError(
             "equilibrium curve does not reach the requested sigma"
         )
@@ -315,17 +328,56 @@ def _equilibrium_h(h_l, q, delta_sigma, g):
     lo = np.where(sub, h_c, 1e-12 * h_c)
     hi = np.where(sub, np.maximum(target, h_c) + 1.0, h_c)
     h = np.where(sub, np.maximum(h_l + ds, h_c), np.minimum(h_l, h_c))
-    h = np.minimum(np.maximum(h, lo), hi)
+    lanes = (a, target, scale, sub, lo, hi, np.minimum(np.maximum(h, lo), hi))
+    if idx.size <= _SCALAR_LANES:
+        try:
+            out[idx] = [_newton_scalar(*lane)
+                        for lane in zip(*(v.tolist() for v in lanes))]
+            return out.reshape(shape)
+        except (OverflowError, ZeroDivisionError):
+            pass  # where Python raises, NumPy returns inf or nan: iterate there
+    out[idx] = _newton_vector(*lanes)
+    return out.reshape(shape)
+
+
+def _newton_scalar(a, target, scale, sub, lo, hi, h):
+    """One lane of the bracketed Newton iteration, in Python floats.  The
+    square is a product and the cube a C-library ``pow``, as in
+    ``_newton_vector``, so the two return the same bits."""
+    for _ in range(100):
+        f = h + a / (h * h) - target
+        if (f > 0) == sub:
+            hi = min(hi, h)
+        else:
+            lo = max(lo, h)
+        df = 1.0 - 2.0 * a / h**3
+        mid = 0.5 * (lo + hi)
+        h_new = h - f / df if df != 0.0 else mid
+        if not lo <= h_new <= hi:
+            h_new = mid
+        if abs(h_new - h) < 1e-15 * max(1.0, abs(h)) and abs(f) < 1e-13 * scale:
+            return h_new
+        h = h_new
+    if not abs(h + a / (h * h) - target) < 1e-10 * scale:
+        raise PathConstructionError("equilibrium solve did not converge")
+    return h
+
+
+def _newton_vector(a, target, scale, sub, lo, hi, h):
+    """``_newton_scalar`` on every lane of the arrays at once; a lane leaves
+    the iteration when its own test passes."""
+    out = np.empty_like(h)
+    idx = np.arange(h.size)
     # finished lanes leave the arrays only on the iterations where some finish
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(100):
             if not idx.size:
-                break
+                return out
             f = h + a / h**2 - target
             above = (f > 0) == sub
             hi = np.where(above, np.minimum(hi, h), hi)
             lo = np.where(above, lo, np.maximum(lo, h))
-            df = 1.0 - 2.0 * a / h**3
+            df = 1.0 - 2.0 * a / np.float_power(h, 3.0)
             mid = 0.5 * (lo + hi)
             h_new = np.where(df != 0.0, h - f / df, mid)
             h_new = np.where((lo <= h_new) & (h_new <= hi), h_new, mid)
@@ -337,10 +389,10 @@ def _equilibrium_h(h_l, q, delta_sigma, g):
                 keep = ~done
                 idx, a, target, scale, sub, lo, hi, h = (
                     v[keep] for v in (idx, a, target, scale, sub, lo, hi, h))
-    if not np.all(np.abs(h + a / h**2 - target) < 1e-10 * scale):
-        raise PathConstructionError("equilibrium solve did not converge")
+        if not np.all(np.abs(h + a / h**2 - target) < 1e-10 * scale):
+            raise PathConstructionError("equilibrium solve did not converge")
     out[idx] = h
-    return out.reshape(shape)
+    return out
 
 
 class EquilibriumPath(PathFamily):

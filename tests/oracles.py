@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from pathfv.errors import (
-    CurveRangeError,
-    DomainError,
-    PathConstructionError,
-    RiemannSolutionError,
-)
+from pathfv.errors import CurveRangeError, DomainError, RiemannSolutionError
 from pathfv.paths import PathFamily
 from pathfv.riemann import NULL
 from pathfv.systems import DISTINCTNESS_RTOL
@@ -254,67 +249,6 @@ def synthetic_step_history(grid_factory, w_left, w_right, xi, times, x0=0.0):
         states = np.where(x[:, None] < x0 + xi * t, w_left, w_right)
         out.append(type(sol)(sol.grid, t, states, sol.n))
     return out
-
-
-def equilibrium_h(h_l, q, delta_sigma, g):
-    """Thickness on the equilibrium curve through (h_l, q) after a sigma jump.
-
-    The scalar reference for the package's batched ``paths._equilibrium_h``:
-    the same bracketed Newton iteration, one Python float at a time.
-
-    Solves E(h) = E(h_l) + delta_sigma with E(h) = h + q^2/(2 g h^2) on the
-    branch (sub- or supercritical) containing h_l.
-    """
-    if h_l <= 0:
-        raise DomainError("equilibrium solve requires h > 0")
-    if q == 0.0 or delta_sigma == 0.0:
-        h = h_l + delta_sigma
-        if h <= 0:
-            raise PathConstructionError(
-                "equilibrium curve leaves h > 0 for this sigma jump"
-            )
-        return h
-    a = q * q / (2.0 * g)
-    target = h_l + a / h_l**2 + delta_sigma
-    h_c = (q * q / g) ** (1.0 / 3.0)  # critical point, E'(h_c) = 0
-    e_min = h_c + a / h_c**2
-    if target < e_min - 1e-14 * max(1.0, abs(target)):
-        raise PathConstructionError(
-            "equilibrium curve does not reach the requested sigma"
-        )
-    subcritical = h_l >= h_c
-    # bracketed Newton on the monotone branch; E increases on the
-    # subcritical branch and decreases on the supercritical one
-    if subcritical:
-        lo, hi = h_c, max(target, h_c) + 1.0
-        h = max(h_l + delta_sigma, h_c)
-    else:
-        lo, hi = 1e-12 * h_c, h_c
-        h = min(h_l, h_c)
-    h = min(max(h, lo), hi)
-    increasing = subcritical
-    for _ in range(100):
-        f = h + a / h**2 - target
-        if (f > 0) == increasing:
-            hi = min(hi, h)
-        else:
-            lo = max(lo, h)
-        df = 1.0 - 2.0 * a / h**3
-        if df != 0.0:
-            step = f / df
-            h_new = h - step
-        else:
-            h_new = 0.5 * (lo + hi)
-        if not (lo <= h_new <= hi):
-            h_new = 0.5 * (lo + hi)
-        if abs(h_new - h) < 1e-15 * max(1.0, abs(h)) and abs(f) < 1e-13 * max(
-            1.0, abs(target)
-        ):
-            return h_new
-        h = h_new
-    if abs(h + a / h**2 - target) < 1e-10 * max(1.0, abs(target)):
-        return h
-    raise PathConstructionError("equilibrium solve did not converge")
 
 
 # ---------------------------------------------------------------------------
