@@ -35,7 +35,9 @@ def _endpoint_matrix(fun, svals, v, which):
     Returns an array (ns, N, N): per s, the matrix with columns indexed by
     the endpoint component.
     """
-    g = (lambda u: fun(svals, u, v)) if which == "l" else (lambda u: fun(svals, v, u))
+    # the perturbed states (2N, 1, N) broadcast against the nodes (ns,)
+    g = ((lambda u: fun(svals, u[:, None, :], v)) if which == "l"
+         else (lambda u: fun(svals, v, u[:, None, :])))
     # 5e-4 is exactly half of 1e-3 in binary, so the second step is
     # exactly half of the first
     d1, d2 = (_central_differences(g, v, step) for step in (1e-3, 5e-4))

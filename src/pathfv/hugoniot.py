@@ -79,8 +79,12 @@ def _ordered_pair(fixed_state, free, side):
 
 
 def _rh_residual_vec(system, path, fixed_state, side, free, xi):
-    u_l, u_r = _ordered_pair(fixed_state, free, side)
-    return xi * (u_r - u_l) - path_integral(path, system, u_l, u_r)
+    """R(free, xi) for free states (..., N) and speeds broadcasting against
+    their batch shape."""
+    fixed = np.broadcast_to(fixed_state, np.shape(free))
+    u_l, u_r = _ordered_pair(fixed, free, side)
+    return (np.asarray(xi)[..., None] * (u_r - u_l)
+            - path_integral(path, system, u_l, u_r))
 
 
 def _fd_jacobian(resid, z):
@@ -89,7 +93,8 @@ def _fd_jacobian(resid, z):
 
 
 def _damped_newton(resid, z, tol, scale, max_iter, max_halvings, where, xi=None):
-    """Damped Newton for resid(z) = 0 with a finite-difference Jacobian.
+    """Damped Newton for resid(z) = 0 with a finite-difference Jacobian,
+    which evaluates ``resid`` once on a stack (2n, n) of points, row by row.
 
     Each step tries the full Newton step and up to ``max_halvings - 1``
     halvings of it, and stops when none lowers the residual.  Returns
@@ -156,10 +161,11 @@ def trace_exact(system, path, fixed_state, side, xi_start, xi_end, steps):
     if abs(lam[k] - xi_start) > 1e-6 * spread:
         raise TraceError("xi_start is not an eigenvalue of the fixed state", xi=xi_start)
     r_k = K[:, k]
-    # growth rate of lambda_k along its eigenvector fixes the predictor
+    # growth rate of lambda_k along its eigenvector fixes the predictor;
+    # fixed -+ eps r_k are solved as one batch
     eps = 1e-6 * max(1.0, float(np.abs(fixed_state).max()))
-    lam_p = system.eigenvalues(fixed_state + eps * r_k)[k]
-    lam_m = system.eigenvalues(fixed_state - eps * r_k)[k]
+    pair = fixed_state + np.multiply.outer((eps, -eps), r_k)
+    lam_p, lam_m = system.eigenvalues(pair)[:, k]
     slope = (lam_p - lam_m) / (2.0 * eps)
     if abs(slope) < 1e-8:
         raise TraceError(
@@ -224,10 +230,10 @@ def solve_rh_at(system, path, fixed_state, side, component, value, seed_state,
     free_idx = [k for k in range(n) if k != component]
 
     def unpack(z):
-        w = np.empty(n)
-        w[component] = value
-        w[free_idx] = z[:-1]
-        return w, z[-1]
+        w = np.empty(z.shape[:-1] + (n,))
+        w[..., component] = value
+        w[..., free_idx] = z[..., :-1]
+        return w, z[..., -1]
 
     def resid(z):
         w, xi = unpack(z)

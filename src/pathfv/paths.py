@@ -306,14 +306,16 @@ def _equilibrium_h(h_l, q, delta_sigma, g):
     h_l, q, ds = h_l.ravel(), q.ravel(), ds.ravel()
     if (h_l <= 0).any():
         raise DomainError("equilibrium solve requires h > 0")
-    out = h_l + ds  # the solution where q = 0 or where sigma does not jump
-    if ((q == 0.0) & (out <= 0)).any():
+    # the solution where the kinetic term a vanishes (q = 0, or q^2
+    # underflows) or where sigma does not jump
+    out = h_l + ds
+    a = q * q / (2.0 * g)
+    if ((a == 0.0) & (out <= 0)).any():
         raise PathConstructionError(
             "equilibrium curve leaves h > 0 for this sigma jump"
         )
-    idx = np.flatnonzero((q != 0.0) & (ds != 0.0))
-    h_l, q, ds = h_l[idx], q[idx], ds[idx]
-    a = q * q / (2.0 * g)
+    idx = np.flatnonzero((a != 0.0) & (ds != 0.0))
+    h_l, q, ds, a = h_l[idx], q[idx], ds[idx], a[idx]
     target = h_l + a / h_l**2 + ds
     h_c = (q * q / g) ** (1.0 / 3.0)  # critical point, E'(h_c) = 0
     e_min = h_c + a / h_c**2
@@ -425,8 +427,8 @@ class EquilibriumPath(PathFamily):
         Only pairs with [sigma] != 0 are solved: elsewhere h* = h_l, which
         is also what the solve returns there, bit for bit.
         """
-        u_l = np.asarray(u_l, dtype=float)
-        u_r = np.asarray(u_r, dtype=float)
+        u_l, u_r = np.broadcast_arrays(np.asarray(u_l, dtype=float),
+                                       np.asarray(u_r, dtype=float))
         dsig = u_r[..., 2] - u_l[..., 2]
         h = u_l[..., 0].copy()
         jump = dsig != 0.0
@@ -486,8 +488,8 @@ class EquilibriumPath(PathFamily):
     def coupling_and_integral(self, system, u_l, u_r):
         # W* is solved once.  The integral from W* to u_r is the one from
         # u_l bit for bit: leg one carries none, q* = q_l exactly, and
-        # sigma does not jump from W* to u_r, so intermediate_state returns
-        # W* there without a solve.
+        # sigma does not jump from W* to u_r, so closed_form_integral takes
+        # W* itself as the intermediate state there.
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
         w_star = self.intermediate_state(u_l, u_r)
@@ -497,10 +499,13 @@ class EquilibriumPath(PathFamily):
     def closed_form_integral(self, system, u_l, u_r):
         # F2(w_r) - F2(w_star) equals [F2] plus the coupling times [sigma]
         # but rounds differently; this form is the one the reference
-        # results use
-        u_l = np.asarray(u_l, dtype=float)
-        u_r = np.asarray(u_r, dtype=float)
-        f2 = system.flux(np.stack([u_r, self.intermediate_state(u_l, u_r)]))[..., 1]
+        # results use.  Where no pair's sigma jumps, W* is u_l in every
+        # component F2 reads, and no intermediate state is built.
+        u_l, u_r = np.broadcast_arrays(np.asarray(u_l, dtype=float),
+                                       np.asarray(u_r, dtype=float))
+        jump = (u_r[..., 2] - u_l[..., 2] != 0.0).any()
+        w_star = self.intermediate_state(u_l, u_r) if jump else u_l
+        f2 = system.flux(np.stack([u_r, w_star]))[..., 1]
         out = np.zeros_like(u_l)
         out[..., 0] = u_r[..., 1] - u_l[..., 1]
         out[..., 1] = f2[0] - f2[1]
@@ -508,12 +513,13 @@ class EquilibriumPath(PathFamily):
 
 
 def path_integral(path, system, u_l, u_r, method="auto"):
-    """int_0^1 A(Phi(s; u_l, u_r)) dPhi/ds ds for a single pair of states.
+    """int_0^1 A(Phi(s; u_l, u_r)) dPhi/ds ds for pairs of states (..., N).
 
     ``method`` is "auto" (closed form when the pair is declared), "closed"
     (fail if it is not) or "quadrature".  Components of A that are exact
     derivatives integrate to flux differences no matter the path; this is
-    what the closed forms exploit.
+    what the closed forms exploit.  Quadrature integrates one pair at a
+    time, so each pair of a batch gets the bits of a one-pair call.
     """
     u_l = np.asarray(u_l, dtype=float)
     u_r = np.asarray(u_r, dtype=float)
@@ -523,6 +529,15 @@ def path_integral(path, system, u_l, u_r, method="auto"):
         raise PathConstructionError(
             f"no closed-form integral for {path!r} on {system.name}"
         )
+    u_l, u_r = np.broadcast_arrays(u_l, u_r)
+    out = np.zeros(u_l.shape)
+    for pair in np.ndindex(u_l.shape[:-1]):
+        out[pair] = _quadrature_integral(path, system, u_l[pair], u_r[pair])
+    return out
+
+
+def _quadrature_integral(path, system, u_l, u_r):
+    """``path_integral`` of one pair (N,) by adaptive Gauss-Legendre per leg."""
     if np.allclose(u_l, u_r, rtol=0.0, atol=0.0):
         return np.zeros_like(u_l)
 

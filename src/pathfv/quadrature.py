@@ -55,13 +55,18 @@ def adaptive_gl(f, a, b, max_depth=12):
 
 def _central_differences(f, v, rel_step):
     """df/dv_k at v by central differences with the step
-    ``rel_step * max(1, |v_k|)``, stacked over k along a new first axis."""
+    ``rel_step * max(1, |v_k|)``, stacked over k along a new first axis.
+
+    ``f`` is called once, on the (2n, n) stack of the points v + h_k e_k
+    (rows 0..n-1) and v - h_k e_k (rows n..2n-1), and must map each row as
+    it would map that point alone.
+    """
     v = np.asarray(v, dtype=float)
-    out = []
-    for k, h in enumerate(rel_step * np.maximum(1.0, np.abs(v))):
-        vp = v.copy()
-        vp[k] += h
-        vm = v.copy()
-        vm[k] -= h
-        out.append((f(vp) - f(vm)) / (2.0 * h))
-    return np.array(out)
+    n = v.size
+    h = rel_step * np.maximum(1.0, np.abs(v))
+    pts = np.tile(v, (2, n, 1))
+    k = np.arange(n)
+    pts[0, k, k] += h
+    pts[1, k, k] -= h
+    vals = f(pts.reshape(2 * n, n))
+    return (vals[:n] - vals[n:]) / (2.0 * h).reshape((n,) + (1,) * (vals.ndim - 1))

@@ -119,7 +119,7 @@ class System:
         n = len(self.components)
         if w.shape[-1] != n:
             raise DomainError(f"state must have {n} components, got shape {w.shape}")
-        if any(np.any(w[..., i] <= 0) for i in self.thickness):
+        if any((w[..., i] <= 0).any() for i in self.thickness):
             names = ", ".join(self.components[i] for i in self.thickness)
             raise DomainError(f"the {self.name} system requires {names} > 0")
         return [w[..., i] for i in range(n)]

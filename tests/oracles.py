@@ -717,3 +717,26 @@ class FanPath(PathFamily):
 
     def tangent(self, s, u_l, u_r):
         return self._by_leg(s, 1, len(self._legs))
+
+
+def central_differences(f, v, rel_step):
+    """df/dv_k at v by central differences with the step
+    ``rel_step * max(1, |v_k|)``, stacked over k along a new first axis;
+    ``f`` is called once per perturbed point."""
+    v = np.asarray(v, dtype=float)
+    out = []
+    for k, h in enumerate(rel_step * np.maximum(1.0, np.abs(v))):
+        vp = v.copy()
+        vp[k] += h
+        vm = v.copy()
+        vm[k] -= h
+        out.append((f(vp) - f(vm)) / (2.0 * h))
+    return np.array(out)
+
+
+def endpoint_matrix(fun, svals, v, which):
+    """``diagnostics._endpoint_matrix`` on ``central_differences``: each
+    perturbed endpoint is one (N,) state against the nodes ``svals``."""
+    g = (lambda u: fun(svals, u, v)) if which == "l" else (lambda u: fun(svals, v, u))
+    d1, d2 = (central_differences(g, v, step) for step in (1e-3, 5e-4))
+    return np.stack(tuple((4.0 * d2 - d1) / 3.0), axis=-1)

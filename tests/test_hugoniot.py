@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathfv import hugoniot
 from pathfv.hugoniot import _newton_free_state
@@ -23,6 +25,12 @@ from pathfv import (
     solve_rh_at,
     stationary_contact_state,
     trace_exact,
+)
+from pathfv.systems import SYSTEMS
+from conftest import (
+    random_shallow_water_states,
+    random_simplified_states,
+    random_two_layer_states,
 )
 
 G = 9.81
@@ -51,16 +59,16 @@ def _break_closed_form_after(monkeypatch, ncalls):
 
 
 class TestLineSearchLetsBugsThrough:
-    # one residual at the seed and 2 n for the Jacobian: the next call is
-    # the first trial step of the line search
+    # one residual at the seed and one for the Jacobian's 2 n points: the
+    # next call is the first trial step of the line search
     def test_newton_free_state(self, monkeypatch):
-        _break_closed_form_after(monkeypatch, 5)
+        _break_closed_form_after(monkeypatch, 2)
         with pytest.raises(TypeError):
             _newton_free_state(SIMPLE, TWO_SEG, np.array([1.0, 1.0]), "left",
                                XI_SHOCK, np.array([1.7, 0.6]))
 
     def test_solve_rh_at(self, monkeypatch):
-        _break_closed_form_after(monkeypatch, 5)
+        _break_closed_form_after(monkeypatch, 2)
         with pytest.raises(TypeError):
             solve_rh_at(SIMPLE, TWO_SEG, np.array([1.0, 1.0]), "left", 0, 1.8,
                         np.array([1.7, 0.6]), -0.5)
@@ -141,6 +149,33 @@ class TestTraceExact:
         c5 = trace_exact(sys, SkewedSegmentsPath(0.05), WR_INT, "right",
                          lam3, lam3 + 0.25, 16)
         assert curve_distance(c0, c5) > 10 * 1e-10
+
+    def test_predictor_solves_its_two_states_in_one_call(self, monkeypatch):
+        sys = TwoLayerSystem(G, 0.95)
+        lam3 = sys.eigenvalues(WR_INT)[2]
+        shapes = []
+        solve = TwoLayerSystem.eigenvalues
+        monkeypatch.setattr(TwoLayerSystem, "eigenvalues",
+                            lambda self, w: shapes.append(np.shape(w)) or solve(self, w))
+        trace_exact(sys, SegmentsPath(), WR_INT, "right", lam3, lam3 + 0.1, 2)
+        assert shapes == [(4,), (2, 4)]  # eigensystem, then the predictor
+
+    @pytest.mark.parametrize("name, states", [("simplified", random_simplified_states),
+                                              ("shallow_water", random_shallow_water_states),
+                                              ("two_layer", random_two_layer_states)])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_predictor_pair_solves_like_two_single_states(self, name, states, seed):
+        # the slope of lambda_k comes from fixed -+ eps r_k solved as one
+        # (2, N) batch; each lane gives the bits of a one-state call
+        w = states(np.random.default_rng(seed), 1)[0]
+        sys = SYSTEMS[name]()
+        lam, K = sys.eigensystem(w)
+        eps = 1e-6 * max(1.0, float(np.abs(w).max()))
+        for r_k in K.T:
+            pair = sys.eigenvalues(w + np.multiply.outer((eps, -eps), r_k))
+            alone = [sys.eigenvalues(w + eps * r_k), sys.eigenvalues(w - eps * r_k)]
+            assert pair.tobytes() == np.array(alone).tobytes()
 
     def test_linearly_degenerate_field_refused(self):
         sw = ShallowWaterSystem(G)

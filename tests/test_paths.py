@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -226,6 +228,26 @@ def test_quadrature_matches_closed_forms(rng):
             assert np.abs(closed - quad).max() < 1e-10
 
 
+def test_quadrature_integrates_a_batch_pair_by_pair(rng):
+    # eight two-layer pairs, as many as the nodes of one 8-point panel: a
+    # batch broadcast against the nodes would not even raise
+    system = TwoLayerSystem(G, 0.95)
+    path = SkewedSegmentsPath(0.05)
+    UL, UR = random_two_layer_states(rng, 8), random_two_layer_states(rng, 8)
+    UR[3] = UL[3]  # a pair of equal states integrates to zero
+    one = [path_integral(path, system, a, b, method="quadrature") for a, b in zip(UL, UR)]
+    got = path_integral(path, system, UL, UR, method="quadrature")
+    assert got.shape == (8, 4)
+    assert got.tobytes() == np.array(one).tobytes()
+    got = path_integral(path, system, UL.reshape(2, 4, 4), UR.reshape(2, 4, 4),
+                        method="quadrature")
+    assert got.tobytes() == np.array(one).tobytes()
+    # a single left state broadcasts against the right states
+    got = path_integral(path, system, UL[0], UR, method="quadrature")
+    assert got.tobytes() == np.array(
+        [path_integral(path, system, UL[0], b, method="quadrature") for b in UR]).tobytes()
+
+
 def test_quadrature_matches_dense_oracle():
     s = SimplifiedSystem()
     p = TwoSegmentPath()
@@ -440,10 +462,11 @@ class TestBatchedEquilibriumSolve:
                 _solve_lanes(lanes)
             assert str(got.value) == message
 
-    @pytest.mark.parametrize("lane", [(1.0, 1.0, 1e200), (1.0, 1e-170, -1.0)])
+    @pytest.mark.parametrize("lane", [(1.0, 1.0, 1e200), (1e-109, 1e-160, 1e-104)])
     def test_python_float_errors_fall_back_to_the_vector_kernel(self, lane, monkeypatch):
-        # the scalar kernel's h**3 overflows on the first lane, and its
-        # a / (h h) is 0 / 0 on the second; NumPy returns inf and nan there
+        # the scalar kernel's h**3 overflows on the first lane and
+        # underflows to 0 on the second, where 2 a / h**3 then divides by
+        # zero; NumPy returns inf there
         vector, calls = paths_mod._newton_vector, []
         monkeypatch.setattr(paths_mod, "_newton_vector",
                             lambda *args: calls.append(1) or vector(*args))
@@ -453,6 +476,18 @@ class TestBatchedEquilibriumSolve:
                                                         _SCALAR_LANES))
         assert calls == [1, 1]
         assert alone.tobytes() == batch[:1].tobytes()
+
+    @pytest.mark.parametrize("q", [1e-170, -1e-170, 1e-162])
+    def test_an_underflowing_flow_takes_the_still_water_rule(self, q):
+        # q^2 / (2 g) is 0 here: the lane is still water, h_l + [sigma],
+        # refused where that empties the layer, without a NumPy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _equilibrium_h(1.0, q, 0.5, G) == 1.5
+            assert _equilibrium_h([1.0, 2.0], [q, 1.0], [-0.25, 0.0], G).tolist() == [
+                0.75, 2.0]
+            with pytest.raises(PathConstructionError, match="leaves h > 0"):
+                _equilibrium_h(1.0, q, -1.0, G)
 
     def test_no_sigma_jump_returns_h_l_bit_for_bit(self, rng):
         # at Froude 1 the bracketed Newton iteration used to stop up to 1.6e-8

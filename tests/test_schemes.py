@@ -493,14 +493,26 @@ def test_equilibrium_step_solves_the_intermediate_states_once(scheme_cls, monkey
         return solve(h_l, q, delta_sigma, g)
 
     monkeypatch.setattr(paths_mod, "_equilibrium_h", counting)
+    intermediate = paths_mod.EquilibriumPath.intermediate_state
+    states = []
+
+    def counting_states(self, u_l, u_r):
+        states.append(1)
+        return intermediate(self, u_l, u_r)
+
+    monkeypatch.setattr(paths_mod.EquilibriumPath, "intermediate_state", counting_states)
     # sigma jumps at three interfaces, one of them below the coupling's
     # 1e-10 threshold
     sigma = [0.0, 0.0, 1e-12, 0.05, 0.05, 0.1]
     W = np.stack([[1.0, 1.0, 1.0, 1.1, 1.2, 1.2], np.full(6, 0.5), sigma], axis=-1)
     sol = make_solution(W)
     scheme = scheme_cls(SW, PATHS["equilibrium"].for_system(SW))
-    scheme.advance(sol, 0.5 * cfl_dt(SW, sol, scheme.max_cfl))
+    dt = 0.5 * cfl_dt(SW, sol, scheme.max_cfl)
+    scheme.advance(sol, dt)
     assert lanes == [3]
+    assert len(states) == 1  # one intermediate_state call per step
+    scheme.advance(scheme.advance(sol, dt), dt)
+    assert len(states) == 3
 
 
 @pytest.mark.parametrize("scheme_cls", [RoeScheme, ModifiedLaxFriedrichsScheme])
