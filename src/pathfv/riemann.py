@@ -27,12 +27,21 @@ The solution of a Riemann problem is a fan w_l -> w_star -> w_r made of
 one wave per family.  ``solve_riemann`` solves ``(..., 2)`` arrays of
 pairs, one lane each, in one damped Newton iteration over all lanes; a lane
 leaves it when its own test passes, so its result does not depend on the
-rest of the batch.  ``fan_split_integrals`` and ``sample`` take the fan,
+rest of the batch.  The iteration has two kernels.  It steps in NumPy
+(``_newton_step``) while more than ``_SCALAR_LANES`` lanes iterate, since
+one step costs about the same at any small lane count; then it hands each
+remaining lane, from its current row and with the steps left of its cap,
+to a loop in Python floats (``_newton_lane``).  That loop performs the
+lane's operations in the batched order, so every lane has the same bits
+whichever kernel finishes it.  A lane where Newton stalls falls back to
+``brentq`` on the gap between the curves, evaluated in Python floats too
+(``_curves_at``).  ``fan_split_integrals`` and ``sample`` take the fan,
 and ``shock_curve_1`` gives one point of the forward 1-shock locus.  The
 scalar wave curves, a per-wave view of a one-pair fan and the path along
 its wave arcs are reference code and live in ``tests/oracles.py``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +54,13 @@ _STENCIL = np.array([[0.0], [1.0], [-1.0]])  # h, h + dh, h - dh
 
 # Every lane of a batch goes through the floating-point operations it would
 # go through alone.  Powers use np.float_power, which calls the C library's
-# pow as Python's ``**`` does; np.power may round differently (SIMD pow).
+# pow as math.pow does; np.power may round differently (SIMD pow).
+
+# a Newton iteration with at most this many lanes left finishes them in
+# Python floats: the largest size of BENCH_19.json's crossover table at which
+# stepping every lane in Python beat one NumPy step in every run (the kernels
+# meet between 32 and 64 lanes)
+_SCALAR_LANES = 32
 
 
 def _shock_q(h_l, q_l, h):
@@ -96,6 +111,104 @@ def _lane_state(anchors, h, q):
     r1, r2 = q - q1[0], q - q2[0]
     return np.array((h, q, r1, r2, np.maximum(np.abs(r1), np.abs(r2)), q1[1], q1[2],
                      q2[1], q2[2], bad[1] | bad[2], bad[0]))
+
+
+def _curves_at(anchors, h):
+    """``_wave_curves`` at one thickness in Python floats, by the same
+    operations in the same order, so with the same bits.  Where NumPy
+    returns inf without raising (a square past the float range, a shock
+    denominator h_r/h that underflows to 0) so does this."""
+    h_l, q_l, psi_l, h_r, q_r, psi_r = anchors
+    if h >= h_l:
+        q1 = q_l * h / h_l - (h - h_l) * math.sqrt(q_l * h * (h + h_l) / (2.0 * h_l))
+    else:
+        su = psi_l - (h - h_l) / 2.0
+        q1 = h * su * su
+    su = psi_r + (h - h_r) / 2.0
+    if h > h_r:
+        try:
+            t = 0.5 * math.pow(h_r - h, 2.0) * (h_r + h)
+        except OverflowError:
+            t = math.inf
+        den = 2.0 * (h_r / h)
+        # the numerator exceeds t > 0, so NumPy's quotient by 0 is inf
+        q2 = (2.0 * q_r + t + math.sqrt(t * (4.0 * q_r + t))) / den if den else math.inf
+    else:
+        q2 = h * su * su
+    return q1, q2, su < 0 or h <= 0
+
+
+def _lane_point(anchors, h, q):
+    """``_lane_state``'s column of one lane at (h, q), in Python floats.  Its
+    maxima return NaN when either argument is NaN, as ``np.maximum`` does."""
+    dh = 1e-7 * (1.0 if h < 1.0 else h)
+    # the stencil's h + 0 dh, which is not h at h = -0.0 or inf
+    q1, q2, bad = _curves_at(anchors, h + dh * 0.0)
+    p1, p2, bad_p = _curves_at(anchors, h + dh)
+    m1, m2, bad_m = _curves_at(anchors, h - dh)
+    r1, r2 = q - q1, q - q2
+    a1, a2 = abs(r1), abs(r2)
+    return (h, q, r1, r2, a1 if a1 >= a2 or a1 != a1 else a2, p1, m1, p2, m2,
+            float(bad_p or bad_m), float(bad))
+
+
+def _newton_lane(anchors, row, tol, steps):
+    """At most ``steps`` steps of ``solve_riemann``'s Newton iteration on one
+    lane in Python floats, from and to its row of ``state`` (``_lane_point``).
+    It performs ``_newton_step``'s operations in the same order, so it
+    returns the same bits."""
+    for _ in range(steps):
+        h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad, _ = row
+        dh2 = 2.0 * (1e-7 * (1.0 if h < 1.0 else h))
+        j11 = ((q - p1) - (q - m1)) / dh2
+        j21 = ((q - p2) - (q - m2)) / dh2
+        det = j11 - j21
+        if fd_bad != 0.0 or det == 0.0:
+            return row
+        step_h = -(r1 - r2) / det
+        step_q = -(r1 + j11 * step_h)
+        lam = 1.0
+        for _ in range(40):
+            trial = _lane_point(anchors, h + lam * step_h, q + lam * step_q)
+            if trial[10] == 0.0 and trial[4] < rn:
+                break
+            lam *= 0.5
+        else:
+            return row
+        row = trial
+        if row[4] <= tol:
+            break
+    return row
+
+
+def _newton_step(anchors, state, act, tol_scale):
+    """One step of ``solve_riemann``'s Newton iteration on the lanes ``act``
+    of ``state`` (``_lane_state``'s rows), in NumPy; writes the lanes that
+    improve and returns those still iterating."""
+    h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad = state[:10, act]
+    # finite-difference Jacobian in h; dq column is (1, 1)
+    dh2 = 2.0 * (1e-7 * np.maximum(h, 1.0))
+    j11 = ((q - p1) - (q - m1)) / dh2
+    j21 = ((q - p2) - (q - m2)) / dh2
+    det = j11 - j21
+    # solve [[j11, 1], [j21, 1]] (dh, dq) = -(r1, r2)
+    step_h = -(r1 - r2) / det
+    search = np.array((h, q, step_h, -(r1 + j11 * step_h), rn))
+    todo = np.flatnonzero((fd_bad == 0.0) & (det != 0.0))  # into act
+    improved = np.zeros(act.size, dtype=bool)
+    lam = 1.0
+    for _ in range(40):
+        if not todo.size:
+            break
+        h0, q0, dh0, dq0, rn0 = search[:, todo]
+        trial = _lane_state(anchors[..., act[todo]], h0 + lam * dh0, q0 + lam * dq0)
+        take = (trial[10] == 0.0) & (trial[4] < rn0)
+        done = todo[take]
+        state[:, act[done]] = trial[:, take]
+        improved[done] = True
+        todo = todo[~take]
+        lam *= 0.5
+    return act[improved & ~(state[4, act] <= tol_scale[act])]
 
 
 def shock_curve_1(w_l, h_r):
@@ -229,47 +342,29 @@ def solve_riemann(w_l, w_r):
         # a lane that leaves is dropped, so a hard lane costs the rest nothing;
         # a trial point brings its own h -+ dh, so a step needs no evaluation
         act = np.flatnonzero(~trivial & ~(state[4] <= tol_scale))
-        for _ in range(100):
-            if not act.size:
+        for left in range(100, 0, -1):
+            if act.size <= _SCALAR_LANES:
+                # each lane finishes its remaining steps in Python floats
+                rows = zip(anchors[:, 0, act].T.tolist(), state[:, act].T.tolist(),
+                           tol_scale[act].tolist())
+                state[:, act] = np.array(
+                    [_newton_lane(a, row, tol, left) for a, row, tol in rows]).T
                 break
-            h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad = state[:10, act]
-            # finite-difference Jacobian in h; dq column is (1, 1)
-            dh2 = 2.0 * (1e-7 * np.maximum(h, 1.0))
-            j11 = ((q - p1) - (q - m1)) / dh2
-            j21 = ((q - p2) - (q - m2)) / dh2
-            det = j11 - j21
-            # solve [[j11, 1], [j21, 1]] (dh, dq) = -(r1, r2)
-            step_h = -(r1 - r2) / det
-            search = np.array((h, q, step_h, -(r1 + j11 * step_h), rn))
-            todo = np.flatnonzero((fd_bad == 0.0) & (det != 0.0))  # into act
-            improved = np.zeros(act.size, dtype=bool)
-            lam = 1.0
-            for _ in range(40):
-                if not todo.size:
-                    break
-                h0, q0, dh0, dq0, rn0 = search[:, todo]
-                trial = _lane_state(anchors[..., act[todo]], h0 + lam * dh0, q0 + lam * dq0)
-                take = (trial[10] == 0.0) & (trial[4] < rn0)
-                done = todo[take]
-                state[:, act[done]] = trial[:, take]
-                improved[done] = True
-                todo = todo[~take]
-                lam *= 0.5
-            act = act[improved & ~(state[4, act] <= tol_scale[act])]
+            act = _newton_step(anchors, state, act, tol_scale)
 
         state[:2, trivial] = w_l[trivial].T
         h, q, rn = state[0], state[1], state[4]
         for i in np.flatnonzero(~trivial & ~(rn <= tol_scale) & (rn > 1e-10 * scale)):
-            lane = anchors[:, 0, i]
-            h[i] = _bisect_intersection(lane, i)
-            q1, q2, _ = _wave_curves(lane, h[i:i + 1])
+            lane = anchors[:, 0, i].tolist()
+            h[i] = h_i = _bisect_intersection(lane, i)
+            q1, q2, _ = _curves_at(lane, h_i)
             # q = q1, so the larger residual is |q1 - q2|
-            res = float(abs(q1[0] - q2[0]))
+            res = abs(q1 - q2)
             if res > 1e-9 * scale[i]:
                 raise RiemannSolutionError(
                     f"Riemann intersection did not converge (lane {i})",
                     residual=res, index=i)
-            q[i] = q1[0]
+            q[i] = q1
         # the speeds at the middle state are computed on every lane
         return _build_fan(shape, w_l, w_r, h, q)
 
@@ -287,11 +382,11 @@ def _bisect_intersection(anchors, lane):
     ``brentq`` on the first sign change of a geometric grid whose bracket
     does not span an invalid region."""
     def gap(h):
-        q1, q2, bad = _wave_curves(anchors, np.array([h]))
-        if bad[0]:
+        q1, q2, bad = _curves_at(anchors, h)
+        if bad:
             raise RiemannSolutionError(
                 f"wave curve evaluated out of range (lane {lane})", index=lane)
-        return float(q1[0] - q2[0])
+        return q1 - q2
 
     h_l, h_r = anchors[0], anchors[3]
     grid = np.geomspace(1e-4 * min(h_l, h_r), 50.0 * max(h_l, h_r), 400)

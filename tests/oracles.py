@@ -3,7 +3,9 @@
 Everything here is deliberately written against the package's public
 surface only (path evaluation, matrix evaluation), using brute-force
 numerics (dense trapezoid quadrature, plain finite differences), so each
-oracle stays independent of the code path it checks.
+oracle stays independent of the code path it checks.  The exact Riemann
+solver's Newton iteration is the exception: it is the package's one-lane
+kernel, which ``tests/test_riemann.py`` compares with the batched one.
 """
 
 import math
@@ -14,7 +16,7 @@ from scipy.optimize import brentq
 
 from pathfv.errors import CurveRangeError, DomainError, RiemannSolutionError
 from pathfv.paths import PathFamily
-from pathfv.riemann import NULL
+from pathfv.riemann import NULL, _lane_point, _newton_lane
 from pathfv.systems import DISTINCTNESS_RTOL
 
 
@@ -426,9 +428,10 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
     """Intersect the forward 1-curve from w_l with the backward 2-curve to w_r.
 
     Damped 2-D Newton on (h, q) starting from the midpoint, halving the step
-    until the residual decreases; falls back to a bracketed scalar solve in h
-    when Newton stalls.  Raises ``RiemannSolutionError`` with the last
-    residual if both fail.
+    until the residual decreases, by the package's one-lane kernel; falls
+    back to a bracketed scalar solve in h when Newton stalls, on the curves
+    above.  Raises ``RiemannSolutionError`` with the last residual if both
+    fail.
     """
     h_l, q_l = float(w_l[0]), float(w_l[1])
     h_r, q_r = float(w_r[0]), float(w_r[1])
@@ -439,51 +442,17 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
     def residual(h, q):
         return (q - _forward1_q((h_l, q_l), h), q - _backward2_q((h_r, q_r), h))
 
-    h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
-    try:
-        r1, r2 = residual(h, q)
-    except CurveRangeError:
-        h, q = h_l, q_l
-        r1, r2 = residual(h, q)
-    rnorm = max(abs(r1), abs(r2))
+    # the Newton iteration is the package's one-lane kernel
+    anchors = (h_l, q_l, math.sqrt(q_l / h_l), h_r, q_r, math.sqrt(q_r / h_r))
+    row = _lane_point(anchors, 0.5 * (h_l + h_r), 0.5 * (q_l + q_r))
+    if row[10]:
+        row = _lane_point(anchors, h_l, q_l)
+        if row[10]:
+            raise CurveRangeError("no admissible start for the Newton iteration")
+    if not row[4] <= tol * scale:
+        row = _newton_lane(anchors, row, tol * scale, max_iter)
+    h, q, rnorm = row[0], row[1], row[4]
     converged = rnorm <= tol * scale
-    for _ in range(max_iter):
-        if converged:
-            break
-        # finite-difference Jacobian in h; dq column is (1, 1)
-        dh = 1e-7 * max(h, 1.0)
-        try:
-            p1, p2 = residual(h + dh, q)
-            m1, m2 = residual(h - dh, q)
-        except CurveRangeError:
-            break
-        j11 = (p1 - m1) / (2.0 * dh)
-        j21 = (p2 - m2) / (2.0 * dh)
-        det = j11 - j21
-        if det == 0.0:
-            break
-        # solve [[j11, 1], [j21, 1]] (dh, dq) = -(r1, r2)
-        step_h = -(r1 - r2) / det
-        step_q = -(r1 + j11 * step_h)
-        lam = 1.0
-        improved = False
-        for _ in range(40):
-            h_new, q_new = h + lam * step_h, q + lam * step_q
-            if h_new > 0:
-                try:
-                    n1, n2 = residual(h_new, q_new)
-                except CurveRangeError:
-                    lam *= 0.5
-                    continue
-                if max(abs(n1), abs(n2)) < rnorm:
-                    h, q, r1, r2 = h_new, q_new, n1, n2
-                    rnorm = max(abs(n1), abs(n2))
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            break
-        converged = rnorm <= tol * scale
 
     if not converged and rnorm > 1e-10 * scale:
         h = _bisect_intersection((h_l, q_l), (h_r, q_r))

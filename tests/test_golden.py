@@ -20,7 +20,7 @@ DIGESTS = check_golden.load_digests()
 ELSEWHERE = check_golden.environment_mismatch(DIGESTS.get("environment", {}))
 CHEAP = ["contact_equilibrium_mlf", "contact_equilibrium_roe", "contact_segments_mlf",
          "contact_segments_roe", "dambreak", "dambreak_modified_lf",
-         "simplified_rmp_glimm", "twolayer_external"]
+         "simplified_rmp", "simplified_rmp_glimm", "twolayer_external"]
 
 
 def test_every_builtin_has_digests():

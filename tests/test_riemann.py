@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from pathfv import (
     shock_curve_1,
     solve_riemann,
 )
-from pathfv.riemann import NULL, RAREFACTION, SHOCK, _wave_curves
+from pathfv.riemann import (NULL, RAREFACTION, SHOCK, _lane_point, _lane_state, _newton_lane,
+                            _wave_curves)
 from conftest import random_simplified_states
 from oracles import FanPath, ends, hugoniot_q_from_unit_left, rarefaction_curve, waves
 
@@ -347,6 +349,104 @@ class TestBatchedSolverAgainstOracle:
         assert np.allclose(second.w_star, fan.w_star, rtol=1e-9, atol=0.0)
 
 
+def _anchors(w_l, w_r):
+    return (w_l[0], w_l[1], np.sqrt(w_l[1] / w_l[0]), w_r[0], w_r[1], np.sqrt(w_r[1] / w_r[0]))
+
+
+@st.composite
+def lane_point(draw):
+    """The anchors of one pair and a point (h, q): on both sides of h_l and
+    of h_r, at h <= 0, and, from a slow right state, where the 2-curve's
+    sqrt(u) = sqrt(u_r) + (h - h_r)/2 is negative."""
+    w_l, w_r = draw(riemann_pair())
+    if draw(st.booleans()):
+        w_r = (w_r[0], w_r[1] * draw(st.floats(0.0, 0.05)))
+    near = [st.floats(0.98 * h, 1.02 * h) for h in (w_l[0], w_r[0])]
+    h = draw(st.one_of(st.floats(-1.0, 0.0), st.floats(0.0, 3.0),
+                       st.sampled_from([w_l[0], w_r[0]]), *near))
+    return _anchors(w_l, w_r), h, draw(st.floats(0.0, 3.0))
+
+
+def _rows_and_columns(points):
+    """Each point's ``_lane_point`` row and its ``_lane_state`` column."""
+    anchors = np.repeat(np.array([p[0] for p in points]).T[:, None], 3, axis=1)
+    h, q = (np.array([p[k] for p in points]) for k in (1, 2))
+    with np.errstate(all="ignore"):
+        state = _lane_state(anchors, h, q)
+    return [(np.array(_lane_point(*p)), state[:, i]) for i, p in enumerate(points)]
+
+
+# first, last: Newton stalls and brentq brackets the root; middle: Newton
+STALLING_PAIRS = [((0.3746355364538239, 1.4254421794028227), (1.0028084839530083, 1.6595744557076246)),
+                  ((1.0, 1.0), (0.5, 0.5)),
+                  ((1.0074094373342195, 3.23586421586436), (1.6530346391837758, 0.1505159210002071))]
+
+
+class TestScalarKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(lane_point(), min_size=1, max_size=8))
+    def test_a_lane_row_equals_the_batched_column_bit_for_bit(self, points):
+        for row, column in _rows_and_columns(points):
+            assert row.tobytes() == column.tobytes()
+
+    def test_a_lane_row_equals_the_batched_column_on_many_points(self):
+        # pow(x, 2.0) and x * x round apart on a few points in ten thousand
+        rng = np.random.default_rng(19)
+        pairs = rng.uniform(0.3, 3.0, (10_000, 4)) * [1.0, 1.0, 1.0, 0.5]
+        h, q = rng.uniform(-0.5, 4.0, 10_000), rng.uniform(0.0, 4.0, 10_000)
+        points = [(_anchors(p[:2], p[2:]), h[i], q[i]) for i, p in enumerate(pairs.tolist())]
+        for row, column in _rows_and_columns(points):
+            assert row.tobytes() == column.tobytes()
+
+    def test_a_lane_row_follows_numpy_past_the_float_range(self):
+        # a square that overflows, a shock denominator h_r/h that underflows
+        # to 0, points that are not finite, and a residual inf - inf
+        wide = _anchors((1.0, 1.0), (1e-20, 1e-20))
+        points = [(wide, h, q) for h in (1e200, 1e306, np.inf, -np.inf, np.nan)
+                  for q in (1.0, np.inf)]
+        for row, column in _rows_and_columns(points):
+            assert np.array_equal(row, column, equal_nan=True)
+            assert np.array_equal(np.signbit(row), np.signbit(column))
+        assert np.isinf(_lane_point(wide, 1e306, 1.0)[7])  # q2 at h + dh
+
+    def test_a_lane_leaves_where_its_jacobian_is_off_range_or_singular(self):
+        anchors = _anchors((1.0, 1.0), (0.5, 0.5))
+        row = _lane_point(anchors, 0.75, 0.7)
+        off_range = row[:9] + (1.0, 0.0)
+        singular = row[:5] + (row[6], row[6], row[8], row[8], 0.0, 0.0)  # q(h + dh) = q(h - dh)
+        for stalled in (off_range, singular):
+            assert _newton_lane(anchors, stalled, 0.0, 100) is stalled
+
+    def test_the_hand_off_passes_the_steps_left_of_the_cap(self, monkeypatch):
+        # the 41 easy lanes leave together after some NumPy steps, and the
+        # two stalling ones go on in Python floats with the rest of their 100
+        import pathfv.riemann as R
+
+        steps, handed = [], []
+        monkeypatch.setattr(R, "_newton_step",
+                            lambda *a, real=R._newton_step: steps.append(1) or real(*a))
+        monkeypatch.setattr(R, "_newton_lane",
+                            lambda *a, real=R._newton_lane: handed.append(a[-1]) or real(*a))
+        _solve_batch(STALLING_PAIRS + [((1.0, 1.0), (0.5, 0.5))] * 40)
+        assert steps and handed == [100 - len(steps)] * 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(riemann_pair(), min_size=1, max_size=40))
+    @example(STALLING_PAIRS)
+    @example(STALLING_PAIRS + [((1.0, 1.0), (0.5, 0.5))] * 30)
+    def test_the_hand_off_threshold_moves_no_lane(self, pairs):
+        # 0: NumPy to the end; 10**9: Python floats after the start state
+        import pathfv.riemann
+
+        default = _solve_batch(pairs)[2]
+        for lanes in (0, 10**9):
+            with mock.patch.object(pathfv.riemann, "_SCALAR_LANES", lanes):
+                fan = _solve_batch(pairs)[2]
+            assert fan.w_star.tobytes() == default.w_star.tobytes()
+            for field in ("kind", "speed_left", "speed_right"):
+                assert np.array_equal(getattr(fan, field), getattr(default, field))
+
+
 @pytest.mark.xfail(strict=True, reason="1-shocks are admitted by thickness order "
                    "alone, and this strong one moves faster than lam_1 behind it")
 def test_strong_one_shock_satisfies_lax():
@@ -390,13 +490,15 @@ def test_importing_the_package_loads_no_scipy():
 def test_a_lane_that_leaves_the_iteration_is_not_evaluated_again(monkeypatch):
     # a stalling pair runs Newton to its line-search limit and then brentq;
     # the 40 easy pairs beside it must not be carried along: the batch
-    # evaluates the wave curves at exactly the points its lanes do alone
+    # evaluates the wave curves at exactly the points its lanes do alone,
+    # counted over the NumPy and the Python-float kernel
     import pathfv.riemann
 
     points = []
-    real = pathfv.riemann._wave_curves
-    monkeypatch.setattr(pathfv.riemann, "_wave_curves",
-                        lambda a, h: points.append(np.size(h)) or real(a, h))
+    for name in ("_wave_curves", "_curves_at"):
+        real = getattr(pathfv.riemann, name)
+        monkeypatch.setattr(pathfv.riemann, name,
+                            lambda a, h, real=real: points.append(np.size(h)) or real(a, h))
     w_l = np.array([[0.3746355364538239, 1.4254421794028227]] + [[1.0, 1.0]] * 40)
     w_r = np.array([[1.0028084839530083, 1.6595744557076246]] + [[0.5, 0.5]] * 40)
     alone = 0
