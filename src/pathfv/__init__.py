@@ -23,6 +23,7 @@ from .errors import (
     QuadratureError,
     RiemannSolutionError,
     RoeConstructionError,
+    StepLimitError,
     TraceError,
 )
 from .systems import (

@@ -1,8 +1,18 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+An error declares each location field as a class attribute set to None, its
+default (``index = None``); the constructor takes those by keyword only."""
 
 
 class PathFVError(Exception):
     """Base class for all package-specific errors."""
+
+    def __init__(self, message, **fields):
+        super().__init__(message)
+        for name, value in fields.items():
+            if getattr(type(self), name, 0) is not None:
+                raise TypeError(f"{type(self).__name__} has no field {name!r}")
+            setattr(self, name, value)
 
 
 class DomainError(PathFVError, ValueError):
@@ -18,11 +28,14 @@ class HyperbolicityLossError(PathFVError):
     unknown).
     """
 
-    def __init__(self, message, discriminant=None, max_imag=None, indices=None):
-        super().__init__(message)
-        self.discriminant = discriminant
-        self.max_imag = max_imag
-        self.indices = None if indices is None else tuple(int(i) for i in indices)
+    discriminant = None
+    max_imag = None
+    indices = None
+
+    def __init__(self, message, **fields):
+        super().__init__(message, **fields)
+        if self.indices is not None:
+            self.indices = tuple(int(i) for i in self.indices)
 
 
 class EigenDecompositionError(PathFVError):
@@ -30,17 +43,13 @@ class EigenDecompositionError(PathFVError):
     ``index`` is the first failing state or interface of the batch (C
     order), or None when unknown."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    index = None
 
 
 class RoeConstructionError(PathFVError):
     """A linearization failed one of its defining properties."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    residual = None
 
 
 class PathConstructionError(PathFVError):
@@ -53,25 +62,19 @@ class QuadratureError(PathFVError):
     ``achieved`` holds the last refinement difference.
     """
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
+    achieved = None
 
 
 class CFLViolationError(PathFVError):
     """A time step exceeds the stability bound; ``required_dt`` is the limit."""
 
-    def __init__(self, message, required_dt=None):
-        super().__init__(message)
-        self.required_dt = required_dt
+    required_dt = None
 
 
 class BlowUpError(PathFVError):
     """A scheme produced non-finite values; ``cell`` is the first offender."""
 
-    def __init__(self, message, cell=None):
-        super().__init__(message)
-        self.cell = cell
+    cell = None
 
 
 class RiemannSolutionError(PathFVError):
@@ -79,35 +82,33 @@ class RiemannSolutionError(PathFVError):
     an iteration that did not converge; ``index`` the first failing lane of
     the batch (C order), or the interface when a scheme reports it."""
 
-    def __init__(self, message, residual=None, index=None):
-        super().__init__(message)
-        self.residual = residual
-        self.index = index
+    residual = None
+    index = None
 
 
 class CurveRangeError(PathFVError):
     """A wave curve was evaluated outside its admissible range."""
 
 
+class StepLimitError(PathFVError):
+    """``evolve`` used up its step budget; ``t`` is the time it reached."""
+
+    t = None
+
+
 class TraceError(PathFVError):
     """Continuation of a shock curve failed; ``xi`` is the failing parameter."""
 
-    def __init__(self, message, xi=None):
-        super().__init__(message)
-        self.xi = xi
+    xi = None
 
 
 class FrontExtractionError(PathFVError):
     """Shock extraction found zero or several fronts; ``count`` says how many."""
 
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
+    count = None
 
 
 class ConfigError(PathFVError, ValueError):
     """An experiment configuration is invalid; ``field`` is a JSON path string."""
 
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+    field = None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrontExtractionError, PathFVError, TraceError
+from .errors import DomainError, FrontExtractionError, PathFVError, TraceError
 from .paths import _equilibrium_h_cached, path_integral
 from .quadrature import _central_differences
 
@@ -151,7 +151,7 @@ def trace_exact(system, path, fixed_state, side, xi_start, xi_end, steps):
     """
     fixed_state = np.asarray(fixed_state, dtype=float)
     if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+        raise DomainError("side must be 'left' or 'right'")
     xi_values = [float(xi_start)]
     states = [np.array(fixed_state)]
     residuals = [0.0]

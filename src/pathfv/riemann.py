@@ -305,10 +305,10 @@ def solve_riemann(w_l, w_r):
     """Intersect the forward 1-curve from w_l with the backward 2-curve to w_r.
 
     ``w_l`` and ``w_r`` broadcast to (..., 2), one Riemann problem per lane.
-    Damped 2-D Newton on (h, q) from the midpoint (from w_l where that is
-    off the curves), halving the step until the residual decreases, for at
-    most 100 steps or until the max-norm residual is 1e-13 relative; lanes
-    where Newton stalls fall back to a bracketed scalar solve in h.  Raises
+    Damped 2-D Newton on (h, q) from the midpoint, halving the step until
+    the residual decreases, for at most 100 steps or until the max-norm
+    residual is 1e-13 relative; lanes where Newton stalls fall back to a
+    bracketed scalar solve in h.  Raises
     ``RiemannSolutionError`` with the first failing lane (C order) in
     ``index``: h <= 0 or q < 0, no admissible start, both solves failing
     (with the last residual), or disordered wave speeds.
@@ -331,13 +331,10 @@ def solve_riemann(w_l, w_r):
         h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
         state = _lane_state(anchors, h, q)
         start_bad = (state[10] != 0.0) & ~trivial  # trivial lanes need no iteration
+        # w_l would be off range too: su grows with h, and h_l <= h where su < 0
         if start_bad.any():
-            np.copyto(h, h_l, where=start_bad)
-            np.copyto(q, q_l, where=start_bad)
-            state = _lane_state(anchors, h, q)
-            if (start_bad & (state[10] != 0.0)).any():
-                raise _lane_error("no admissible start for the Newton iteration",
-                                  np.flatnonzero(start_bad & (state[10] != 0.0)))
+            raise _lane_error("no admissible start for the Newton iteration",
+                              np.flatnonzero(start_bad))
         tol_scale = 1e-13 * scale
         # a lane that leaves is dropped, so a hard lane costs the rest nothing;
         # a trial point brings its own h -+ dh, so a step needs no evaluation
@@ -380,19 +377,16 @@ def brentq(f, a, b, **kwargs):
 def _bisect_intersection(anchors, lane):
     """Root in h of the gap between the two wave curves of one lane, by
     ``brentq`` on the first sign change of a geometric grid whose bracket
-    does not span an invalid region."""
+    starts in range: su grows with h, so the whole bracket is in range."""
     def gap(h):
-        q1, q2, bad = _curves_at(anchors, h)
-        if bad:
-            raise RiemannSolutionError(
-                f"wave curve evaluated out of range (lane {lane})", index=lane)
+        q1, q2, _ = _curves_at(anchors, h)
         return q1 - q2
 
     h_l, h_r = anchors[0], anchors[3]
     grid = np.geomspace(1e-4 * min(h_l, h_r), 50.0 * max(h_l, h_r), 400)
     q1, q2, bad = _wave_curves(anchors, grid)
     g = q1 - q2
-    pair = ~bad[:-1] & ~bad[1:] & (g[:-1] * g[1:] <= 0.0)
+    pair = ~bad[:-1] & (g[:-1] * g[1:] <= 0.0)
     if not pair.any():
         raise RiemannSolutionError(
             f"no sign change found for the wave-curve gap (lane {lane})", index=lane)

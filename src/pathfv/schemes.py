@@ -44,6 +44,7 @@ from .errors import (
     HyperbolicityLossError,
     RiemannSolutionError,
     RoeConstructionError,
+    StepLimitError,
 )
 from .paths import PATHS, TwoSegmentPath
 from .riemann import fan_split_integrals, solve_riemann
@@ -51,6 +52,10 @@ from .riemann import sample as fan_sample
 from .systems import SYSTEMS, ShallowWaterSystem, SimplifiedSystem, require_distinct
 
 log = logging.getLogger(__name__)
+
+# steps after which ``evolve`` gives up; this also stops a run whose dt is
+# positive but too small to move t
+_STEP_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -479,8 +484,8 @@ def evolve(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):
         if on_step is not None:
             on_step(sol)
         guard += 1
-        if guard > 10_000_000:
-            raise RuntimeError("evolve exceeded the step guard")
+        if guard > _STEP_BUDGET:
+            raise StepLimitError("evolve exceeded the step guard", t=sol.t)
     if not snaps or snaps[-1].t < sol.t - 1e-13:
         snaps.append(sol)
     return snaps

@@ -242,17 +242,6 @@ def hugoniot_q_from_unit_left(h_r):
     return h_r * (1.0 - np.sqrt((h_r + 1.0) / (2.0 * h_r)) * (h_r - 1.0))
 
 
-def synthetic_step_history(grid_factory, w_left, w_right, xi, times, x0=0.0):
-    """Exact traveling-step profiles sampled on a grid (for extractor tests)."""
-    out = []
-    for t in times:
-        sol = grid_factory(t)
-        x = sol.grid.centers
-        states = np.where(x[:, None] < x0 + xi * t, w_left, w_right)
-        out.append(type(sol)(sol.grid, t, states, sol.n))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Scalar exact Riemann solver for the 2x2 simplified system
 #
@@ -446,9 +435,7 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
     anchors = (h_l, q_l, math.sqrt(q_l / h_l), h_r, q_r, math.sqrt(q_r / h_r))
     row = _lane_point(anchors, 0.5 * (h_l + h_r), 0.5 * (q_l + q_r))
     if row[10]:
-        row = _lane_point(anchors, h_l, q_l)
-        if row[10]:
-            raise CurveRangeError("no admissible start for the Newton iteration")
+        raise CurveRangeError("no admissible start for the Newton iteration")
     if not row[4] <= tol * scale:
         row = _newton_lane(anchors, row, tol * scale, max_iter)
     h, q, rnorm = row[0], row[1], row[4]

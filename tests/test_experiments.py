@@ -283,6 +283,12 @@ class TestRun:
         for p1 in sorted(out1.iterdir()):
             assert (out2 / p1.name).read_bytes() == p1.read_bytes()
 
+    def test_a_manifest_without_an_inner_seed_keeps_its_own(self):
+        cfg = tiny_run_config()
+        del cfg["seed"]
+        assert load_config({"name": "tiny", "seed": 7, "config": cfg}) == {**cfg, "seed": 7}
+        assert "seed" not in cfg
+
     def test_glimm_runs_reproducibly_per_seed(self, tmp_path):
         # same seed: byte-identical output; the seed itself only offsets the
         # sampling stream (profiles may coincide at coarse resolution since
@@ -424,6 +430,17 @@ class TestCli:
         cfgfile.write_text(json.dumps(cfg))
         assert main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "tiny" / "manifest.json").exists()
+
+    def test_a_run_past_the_step_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a positive but negligible cfl: each step moves t by about 1e-302
+        import pathfv.schemes
+
+        monkeypatch.setattr(pathfv.schemes, "_STEP_BUDGET", 3)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(tiny_run_config(cfl=1e-300)))
+        assert main(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: StepLimitError: evolve exceeded the step guard\n")
 
     def test_domain_errors_of_a_run_exit_2(self, tmp_path, capsys):
         still = tiny_run_config(initial={"id": "riemann", "left": [1.0, 0.0],

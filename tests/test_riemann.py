@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,8 +23,8 @@ from pathfv import (
     shock_curve_1,
     solve_riemann,
 )
-from pathfv.riemann import (NULL, RAREFACTION, SHOCK, _lane_point, _lane_state, _newton_lane,
-                            _wave_curves)
+from pathfv.riemann import (NULL, RAREFACTION, SHOCK, _curves_at, _lane_point, _lane_state,
+                            _newton_lane, _wave_curves)
 from conftest import random_simplified_states
 from oracles import FanPath, ends, hugoniot_q_from_unit_left, rarefaction_curve, waves
 
@@ -447,6 +447,45 @@ class TestScalarKernel:
                 assert np.array_equal(getattr(fan, field), getattr(default, field))
 
 
+@st.composite
+def log_uniform_anchors(draw):
+    """The anchors of a pair whose h and u = q/h are log-uniform over many
+    decades: about a third of such pairs have a midpoint off the 2-curve."""
+    h_l, u_l, h_r, u_r = (np.exp(draw(st.floats(-12.0, 12.0))) for _ in range(4))
+    return _anchors((h_l, h_l * u_l), (h_r, h_r * u_r))
+
+
+START_REFUSED = _anchors((1.0, 1.0), (3.0, 0.03))  # lane 1 of the start refusal
+
+
+@settings(max_examples=400, deadline=None)
+@given(log_uniform_anchors())
+@example(START_REFUSED)
+def test_a_midpoint_off_range_means_w_l_off_range_and_an_inadmissible_w_r(anchors):
+    # the 2-curve's sqrt(u) = psi_r + (h - h_r)/2 grows with h, and h_l <= h
+    # wherever it is negative: a restart from w_l could never help
+    h_l, q_l, _, h_r, q_r, psi_r = anchors
+    if _lane_point(anchors, 0.5 * (h_l + h_r), 0.5 * (q_l + q_r))[10]:
+        assert _lane_point(anchors, h_l, q_l)[10]
+        assert h_r >= 4.0 * psi_r
+
+
+@settings(max_examples=400, deadline=None)
+@given(log_uniform_anchors(), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_brentq_sees_no_off_range_point_inside_an_in_range_bracket(anchors, low, width,
+                                                                    inside):
+    # both ends in range as _wave_curves marks them, as the fallback's bracket
+    # is: then so is every point between them
+    h_r, psi_r = anchors[3], anchors[5]
+    a = max(h_r - 2.0 * psi_r, 0.0) + low * h_r  # near where the 2-curve ends
+    b = a * (1.0 + width) + 1e-300
+    with np.errstate(all="ignore"):
+        assume(not _wave_curves(anchors, np.array([a, b]))[2].any())
+    for h in [np.nextafter(a, b), np.nextafter(b, a)] + [a + f * (b - a) for f in inside]:
+        assert not _curves_at(anchors, float(h))[2]
+
+
 @pytest.mark.xfail(strict=True, reason="1-shocks are admitted by thickness order "
                    "alone, and this strong one moves faster than lam_1 behind it")
 def test_strong_one_shock_satisfies_lax():
@@ -526,6 +565,10 @@ class TestSolverErrors:
         with pytest.raises(RiemannSolutionError) as err:
             solve_riemann([1.0, -1.0], [1.0, -1.0])
         assert err.value.index == 0
+
+    def test_the_oracle_refuses_the_same_start(self):
+        with pytest.raises(CurveRangeError, match="^no admissible start"):
+            oracles.solve_riemann((1.0, 1.0), (3.0, 0.03))
 
     def test_waves_are_listed_for_one_pair_only(self):
         fan = solve_riemann([[1.0, 1.0]], [[0.5, 0.5]])

@@ -28,6 +28,7 @@ from pathfv import (
     SimplifiedSystem,
     SkewedSegmentsPath,
     Solution,
+    StepLimitError,
     TwoLayerSystem,
     TwoSegmentPath,
     VanDerCorputSampler,
@@ -920,3 +921,19 @@ def test_two_layer_evolve_solves_each_state_once_per_step(monkeypatch):
     # one interface solve and one admissibility solve per step, plus the
     # first step's speed
     assert len(calls) <= 2 * n + 1
+
+
+def test_a_step_too_small_to_move_t_ends_at_the_step_budget(monkeypatch):
+    # at t = 1e17 the spacing of floats is 16, so a step of dt ~ 0.1 leaves
+    # t where it was and the loop would never reach t_end
+    import pathfv.schemes
+
+    monkeypatch.setattr(pathfv.schemes, "_STEP_BUDGET", 5)
+    grid = Grid(-1.0, 1.0, 20)
+    sol = Solution(grid, 1e17, np.tile([1.0, 1.0], (20, 1)))
+    steps = []
+    with pytest.raises(StepLimitError) as err:
+        evolve(RoeScheme(SIMPLE, TwoSegmentPath()), sol, 1e17 + 64.0, 0.9,
+               on_step=steps.append)
+    assert str(err.value) == "evolve exceeded the step guard"
+    assert err.value.t == 1e17 and len(steps) == 6
