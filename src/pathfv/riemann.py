@@ -34,8 +34,9 @@ remaining lane, from its current row and with the steps left of its cap,
 to a loop in Python floats (``_newton_lane``).  That loop performs the
 lane's operations in the batched order, so every lane has the same bits
 whichever kernel finishes it.  A lane where Newton stalls falls back to
-``brentq`` on the gap between the curves, evaluated in Python floats too
-(``_curves_at``).  ``fan_split_integrals`` and ``sample`` take the fan,
+``brentq``, Brent's method transcribed from scipy, on the gap between the
+curves; both run in Python floats (``_curves_at``), so the package needs
+NumPy alone.  ``fan_split_integrals`` and ``sample`` take the fan,
 and ``shock_curve_1`` gives one point of the forward 1-shock locus.  The
 scalar wave curves, a per-wave view of a one-pair fan and the path along
 its wave arcs are reference code and live in ``tests/oracles.py``.
@@ -310,8 +311,9 @@ def solve_riemann(w_l, w_r):
     residual is 1e-13 relative; lanes where Newton stalls fall back to a
     bracketed scalar solve in h.  Raises
     ``RiemannSolutionError`` with the first failing lane (C order) in
-    ``index``: h <= 0 or q < 0, no admissible start, both solves failing
-    (with the last residual), or disordered wave speeds.
+    ``index``: h <= 0 or q < 0, no admissible start, the bracketed solve
+    failing (no sign change, a NaN gap, no convergence, or a residual above
+    1e-9 relative, given in ``residual``), or disordered wave speeds.
     """
     w_l, w_r = np.broadcast_arrays(np.asarray(w_l, dtype=float),
                                    np.asarray(w_r, dtype=float))
@@ -366,18 +368,67 @@ def solve_riemann(w_l, w_r):
         return _build_fan(shape, w_l, w_r, h, q)
 
 
-def brentq(f, a, b, **kwargs):
-    """scipy's bracketed root finder, imported on the first call: only the
-    fallback of a stalled lane needs scipy, which takes about 0.5 s to load."""
-    from scipy.optimize import brentq as scipy_brentq
+def brentq(f, a, b, lane):
+    """Root of ``f`` on the bracket [a, b] by Brent's method (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4) in Python
+    floats, with xtol = rtol = 1e-15 and at most 100 iterations.  It is
+    scipy.optimize.brentq transcribed: the same operations in the same order,
+    so the same bits.  Where scipy raises (ends of one sign, a NaN value, no
+    convergence) this raises ``RiemannSolutionError`` naming ``lane``.  The
+    name stays scipy's because the benchmark's tracer counts the solver's
+    fallbacks as calls to ``riemann.brentq``."""
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise _lane_error(f"the wave-curve gap is NaN at h = {x!r}", (lane,))
+        return fx
 
-    return scipy_brentq(f, a, b, **kwargs)
+    xpre, xcur = a, b
+    fpre, fcur = value(a), value(b)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise _lane_error("the wave-curve gap has one sign at both bracket ends", (lane,))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        # fpre != 0 here; fcur = 0 returns below whichever way this goes
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-15 + 1e-15 * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise _lane_error("the bracketed root did not converge in 100 iterations", (lane,))
 
 
 def _bisect_intersection(anchors, lane):
     """Root in h of the gap between the two wave curves of one lane, by
     ``brentq`` on the first sign change of a geometric grid whose bracket
-    starts in range: su grows with h, so the whole bracket is in range."""
+    starts in range: su grows with h, so the whole bracket is in range.
+    Every refusal, here or in ``brentq``, is a ``RiemannSolutionError`` whose
+    ``index`` is ``lane``."""
     def gap(h):
         q1, q2, _ = _curves_at(anchors, h)
         return q1 - q2
@@ -391,7 +442,7 @@ def _bisect_intersection(anchors, lane):
         raise RiemannSolutionError(
             f"no sign change found for the wave-curve gap (lane {lane})", index=lane)
     k = int(np.argmax(pair))
-    return brentq(gap, grid[k], grid[k + 1], xtol=1e-15, rtol=1e-15)
+    return brentq(gap, *grid[k:k + 2].tolist(), lane)
 
 
 def _rarefaction_state_at(anchor, family, xi):

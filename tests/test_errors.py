@@ -2,6 +2,7 @@
 the refusals that no other test reaches, each through the public API."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from pathfv import (
 from pathfv.experiments import load_config, validate_config
 
 SRC = Path(pathfv.errors.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # each class's location fields, as its constructor took them before the
 # fields were declared on the class
@@ -136,6 +138,39 @@ def test_every_raise_in_the_package_is_a_package_error():
     stray = {path.name: _stray_raises(path.read_text(), errors | also.get(path.name, set()))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in stray.items() if lines} == {}
+
+
+def _imported_roots(source):
+    """(line, top-level package) of each absolute import in ``source``."""
+    roots = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.append((node.lineno, node.module.split(".")[0]))
+    return roots
+
+
+def test_the_import_scan_sees_every_form_of_import():
+    source = ("import numpy as np\n"
+              "from . import errors\n"
+              "def f():\n"
+              "    import scipy.optimize\n"
+              "    from scipy.optimize import brentq\n")
+    assert _imported_roots(source) == [(1, "numpy"), (4, "scipy"), (5, "scipy")]
+
+
+def test_no_module_in_the_package_imports_scipy():
+    found = {path.name: [line for line, root in _imported_roots(path.read_text())
+                         if root == "scipy"]
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_numpy_is_the_only_run_time_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
 def _config(key, value):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 import oracles
 import pathfv
@@ -23,8 +25,8 @@ from pathfv import (
     shock_curve_1,
     solve_riemann,
 )
-from pathfv.riemann import (NULL, RAREFACTION, SHOCK, _curves_at, _lane_point, _lane_state,
-                            _newton_lane, _wave_curves)
+from pathfv.riemann import (NULL, RAREFACTION, SHOCK, _bisect_intersection, _curves_at,
+                            _lane_point, _lane_state, _newton_lane, _wave_curves)
 from conftest import random_simplified_states
 from oracles import FanPath, ends, hugoniot_q_from_unit_left, rarefaction_curve, waves
 
@@ -274,6 +276,11 @@ SIMPLE_WAVES = [  # null, pure 1-shock, rarefaction then shock, transonic
 NEAR_NULL_SHOCK = [((0.875, 0.3442043587565422),
                     (0.42698796590169275, 0.30937286187168545))]
 
+# Newton's line search runs out of its 40 step halvings on this pair, which
+# then takes the fallback: found among 400,000 pairs with h and q log-uniform
+# on [e^-6, e^6], rounded to two digits
+LINE_SEARCH_RUNS_OUT = ((200.0, 0.15), (3.6, 0.15))
+
 
 def _solve_batch(pairs):
     w_l = np.array([p[0] for p in pairs], dtype=float)
@@ -285,6 +292,7 @@ class TestBatchedSolverAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(PAIR_BATCH)
     @example(SIMPLE_WAVES)
+    @example([LINE_SEARCH_RUNS_OUT])
     def test_each_lane_equals_the_scalar_oracle_bit_for_bit(self, pairs):
         w_l, w_r, fan = _solve_batch(pairs)
         mm, mp = fan_split_integrals(fan)
@@ -515,9 +523,103 @@ def test_lanes_where_newton_stalls_fall_back_to_brentq(monkeypatch):
         assert np.array_equal(fan.w_star[i], np.array(ref.w_star))
 
 
+@settings(max_examples=300, deadline=None)
+@given(log_uniform_anchors())
+@example(_anchors(*STALLING_PAIRS[0]))
+@example(_anchors(*STALLING_PAIRS[-1]))
+def test_brentq_returns_scipys_bits_on_the_fallbacks_brackets(anchors):
+    # the bracket and the gap are the ones _bisect_intersection hands over,
+    # from its own scan; about half of these pairs have no sign change on it
+    import pathfv.riemann
+
+    anchors = tuple(float(a) for a in anchors)
+    handed = []
+    with mock.patch.object(pathfv.riemann, "brentq", lambda *a: handed.append(a) or 0.0):
+        with np.errstate(all="ignore"):
+            try:
+                _bisect_intersection(anchors, 3)
+            except RiemannSolutionError:
+                return
+    gap, a, b, lane = handed[0]
+    assert lane == 3
+    try:
+        ref = scipy_brentq(gap, a, b, xtol=1e-15, rtol=1e-15)
+    except (ValueError, RuntimeError):
+        with pytest.raises(RiemannSolutionError) as err:
+            pathfv.riemann.brentq(gap, a, b, lane)
+        assert err.value.index == lane
+        return
+    assert pathfv.riemann.brentq(gap, a, b, lane).hex() == ref.hex()
+
+
+def _step(h):
+    return math.copysign(1.0, h - 0.5)
+
+
+# functions on which Brent's method leaves the path a smooth gap takes: a
+# flat root, a step, a tiny scale, an exponential
+HARD_FUNCTIONS = [lambda h: (h - 0.3) ** 5, _step, lambda h: math.atan(h - 1.7) * 1e-200,
+                  lambda h: math.exp(h) - 10.0, lambda h: math.cos(h) - h]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(HARD_FUNCTIONS), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+def test_brentq_returns_scipys_bits_off_the_smooth_path(f, a, b):
+    try:
+        ref = scipy_brentq(f, a, b, xtol=1e-15, rtol=1e-15)
+    except (ValueError, RuntimeError):  # ends of one sign, no convergence
+        with pytest.raises(RiemannSolutionError):
+            pathfv.riemann.brentq(f, a, b, 0)
+        return
+    assert pathfv.riemann.brentq(f, a, b, 0).hex() == ref.hex()
+
+
+# (f, a, b, message) on which scipy's brentq raises: ends of one sign; a NaN
+# at the first iterate, h = 0.5; and a step function whose root needs about
+# a thousand bisections of this bracket
+BRENTQ_FAILURES = {
+    "one sign": (lambda h: h + 1.0, 0.0, 1.0,
+                 "the wave-curve gap has one sign at both bracket ends (lane 4)"),
+    "NaN": (lambda h: _step(h) if abs(h - 0.5) > 0.25 else math.nan, 0.0, 1.0,
+            "the wave-curve gap is NaN at h = 0.5 (lane 4)"),
+    "no convergence": (_step, -1e300, 1e300,
+                       "the bracketed root did not converge in 100 iterations (lane 4)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BRENTQ_FAILURES))
+def test_brentq_raises_the_typed_error_where_scipy_raises(case):
+    f, a, b, message = BRENTQ_FAILURES[case]
+    with pytest.raises((ValueError, RuntimeError)):
+        scipy_brentq(f, a, b, xtol=1e-15, rtol=1e-15)
+    with pytest.raises(RiemannSolutionError) as err:
+        pathfv.riemann.brentq(f, a, b, 4)
+    assert str(err.value) == message and err.value.index == 4
+
+
+def test_a_lane_whose_line_search_runs_out_falls_back_to_brentq(monkeypatch):
+    import pathfv.riemann
+
+    trials, rows, calls = [], [], []
+    for name, log in (("_lane_point", trials), ("_newton_lane", rows), ("brentq", calls)):
+        real = getattr(pathfv.riemann, name)
+        monkeypatch.setattr(pathfv.riemann, name,
+                            lambda *a, real=real, log=log: log.append(real(*a)) or log[-1])
+    fan = solve_riemann(*LINE_SEARCH_RUNS_OUT)
+    # the lane leaves with the row it had before its last step: each of the
+    # last 40 trial points is off range or no better
+    row = rows[-1]
+    assert len(trials) >= 40 and trials[-1] is not row
+    assert all(t[10] or not t[4] < row[4] for t in trials[-40:])
+    assert len(calls) == 1
+    ref = oracles.solve_riemann(*LINE_SEARCH_RUNS_OUT)
+    assert np.array_equal(fan.w_star, np.array(ref.w_star))
+
+
 def test_importing_the_package_loads_no_scipy():
-    # only the bracketed fallback above needs scipy, imported on its first call
+    # nor does solving the two stalling pairs, which take the bracketed fallback
     code = ("import sys, pathfv.experiments; "
+            f"pathfv.solve_riemann(*zip({STALLING_PAIRS[0]}, {STALLING_PAIRS[-1]})); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(pathfv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
