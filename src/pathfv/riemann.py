@@ -313,7 +313,8 @@ def solve_riemann(w_l, w_r):
     ``RiemannSolutionError`` with the first failing lane (C order) in
     ``index``: h <= 0 or q < 0, no admissible start, the bracketed solve
     failing (no sign change, a NaN gap, no convergence, or a residual above
-    1e-9 relative, given in ``residual``), or disordered wave speeds.
+    1e-9 relative to the largest of 1, |q_l|, |q_r| and |q| at the root,
+    given in ``residual``), or disordered wave speeds.
     """
     w_l, w_r = np.broadcast_arrays(np.asarray(w_l, dtype=float),
                                    np.asarray(w_r, dtype=float))
@@ -357,9 +358,10 @@ def solve_riemann(w_l, w_r):
             lane = anchors[:, 0, i].tolist()
             h[i] = h_i = _bisect_intersection(lane, i)
             q1, q2, _ = _curves_at(lane, h_i)
-            # q = q1, so the larger residual is |q1 - q2|
+            # q = q1, so the larger residual is |q1 - q2|; it is measured on
+            # the scale of q at the root too, where the gap rounds
             res = abs(q1 - q2)
-            if res > 1e-9 * scale[i]:
+            if res > 1e-9 * max(scale[i], abs(q1)):
                 raise RiemannSolutionError(
                     f"Riemann intersection did not converge (lane {i})",
                     residual=res, index=i)

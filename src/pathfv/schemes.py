@@ -209,10 +209,11 @@ def _next_solution(system, sol, dt, new):
 
 
 def _roe_eigendata(system, path, UL, UR):
-    """Ascending eigenvalues and eigenvector matrices of the Roe matrix, the
-    wave strengths and the path integral, batched: (lam, K, coeff, integral).
+    """Ascending eigenvalues of the Roe matrix, its eigenvector data (see
+    ``systems``), the wave strengths and the path integral, batched:
+    (lam, vectors, coeff, integral).
 
-    The system builds the eigenpairs from the path's coupling and the
+    The system builds the eigendata from the path's coupling and the
     strengths ``coeff`` = K^-1 (u_r - u_l) with ``wave_strengths``, in
     closed form where it has one.  Coincident eigenvalues raise
     ``EigenDecompositionError`` at the first such interface, before any
@@ -228,11 +229,11 @@ def _roe_eigendata(system, path, UL, UR):
     # trim and mmap thresholds raised the gap closed, so the cost is heap
     # trimming and page faults.
     coupling, integral = path.coupling_and_integral(system, UL, UR)
-    lam, K = system.roe_eigensystem(UL, UR, coupling)
+    lam, vectors = system.roe_eigensystem(UL, UR, coupling)
     del coupling
     require_distinct(lam, "Roe matrix", "interface")
-    coeff = system.wave_strengths(lam, K, UR - UL)
-    return lam, K, coeff, integral()
+    coeff = system.wave_strengths(lam, vectors, UR - UL)
+    return lam, vectors, coeff, integral()
 
 
 def _check_jump(jump, integral):
@@ -249,7 +250,8 @@ def _check_jump(jump, integral):
 
 def roe_matrix(system, path, u_l, u_r):
     """Explicit Roe matrix for one pair of states (checked properties 1-3)."""
-    lam, K, _, integral = _roe_eigendata(system, path, u_l, u_r)
+    lam, vectors, _, integral = _roe_eigendata(system, path, u_l, u_r)
+    K = system.eigenvector_matrix(lam, vectors)
     if np.linalg.cond(K) > 1e12:
         raise EigenDecompositionError("Roe eigenvector matrix is ill-conditioned")
     A = K @ np.diag(lam) @ np.linalg.inv(K)
@@ -315,9 +317,10 @@ class RoeScheme(Scheme):
     name = "roe"
 
     def fluctuations(self, UL, UR, dx, dt):
-        lam, K, coeff, integral = _roe_eigendata(self.system, self.path, UL, UR)
-        mm = np.einsum("...ij,...j->...i", K, np.minimum(lam, 0.0) * coeff)
-        mp = np.einsum("...ij,...j->...i", K, np.maximum(lam, 0.0) * coeff)
+        lam, vectors, coeff, integral = _roe_eigendata(self.system, self.path, UL, UR)
+        apply = self.system.apply_eigenvectors
+        mm = apply(lam, vectors, np.minimum(lam, 0.0) * coeff)
+        mp = apply(lam, vectors, np.maximum(lam, 0.0) * coeff)
         _check_jump(mm + mp, integral)
         return mm, mp
 
@@ -353,14 +356,15 @@ class ModifiedLaxFriedrichsScheme(Scheme):
     systems = (ShallowWaterSystem.name,)  # a balance law with a frozen sigma
 
     def fluctuations(self, UL, UR, dx, dt):
-        lam, K, coeff, integral = _roe_eigendata(self.system, self.path, UL, UR)
+        lam, vectors, coeff, integral = _roe_eigendata(self.system, self.path, UL, UR)
         # the standing eigenvalue is exactly 0; the distinctness check that
         # built lam has refused every moving one near it
         ident = np.where(lam != 0.0, 1.0, 0.0)
         wm = 0.5 * (-(dx / dt) * ident + lam)
         wp = 0.5 * (+(dx / dt) * ident + lam)
-        mm = np.einsum("...ij,...j->...i", K, wm * coeff)
-        mp = np.einsum("...ij,...j->...i", K, wp * coeff)
+        apply = self.system.apply_eigenvectors
+        mm = apply(lam, vectors, wm * coeff)
+        mp = apply(lam, vectors, wp * coeff)
         # kill roundoff in the frozen component outright
         mm[..., 2] = 0.0
         mp[..., 2] = 0.0

@@ -39,9 +39,20 @@ which ``System._columns`` checks.  It states its eigenstructure once:
 ``eigenvalues`` in ascending order and ``_eigenvectors`` for them; ``System``
 derives ``eigensystem`` and ``max_abs_speed`` from the two, and ``distinct``
 is the one rule for coincident eigenvalues.  Given a path's coupling (see
-``paths``), ``jump_integral`` is the path integral of A,
-``roe_eigensystem`` the eigenpairs of the Roe matrix and
-``wave_strengths`` the coordinates of a jump in their eigenvectors.
+``paths``), ``jump_integral`` is the path integral of A and
+``roe_eigensystem`` the eigenvalues of the Roe matrix with the data its
+eigenvectors are made of: nothing more for the 2x2 model, whose columns are
+(1, lam); the standing column's k for shallow water; the matrix K itself
+for two layers.  From those, ``wave_strengths`` gives the coordinates of a
+jump in the eigenvectors, ``apply_eigenvectors`` the combination K c of the
+columns and ``eigenvector_matrix`` the one builder of K.
+
+``apply_eigenvectors`` returns the bits of ``np.einsum("...ij,...j->...i",
+K, c)`` on the built K, for every finite c, without building K: NumPy's
+einsum sums a row's even-index products in one accumulator and its
+odd-index products in another, adds the two, and never returns -0.0.  The
+closed forms add in that order and end with ``+ 0.0``, which turns a -0.0
+sum into +0.0 and leaves every other value as it is.
 
 All state arrays have shape (..., N) and matrix evaluations broadcast over
 leading axes.  Instances are immutable and safe to share between workers.
@@ -177,11 +188,12 @@ class SimplifiedSystem(System):
         return np.stack([u - s, u + s], axis=-1)
 
     def _eigenvectors(self, w, lam):
-        return _simplified_vectors(lam)
+        return self.eigenvector_matrix(lam, None)
 
     def roe_eigensystem(self, u_l, u_r, coupling):
-        """Eigenpairs of [[0, 1], [c - u^2, 2 u]]: u the Roe velocity, c the
-        path average of q h against h."""
+        """Eigenvalues of [[0, 1], [c - u^2, 2 u]], u the Roe velocity and c
+        the path average of q h against h, and None: the eigenvector columns
+        (1, lam) need nothing more."""
         h_l, q_l = self._columns(u_l)
         h_r, q_r = self._columns(u_r)
         u = _roe_velocity(h_l, q_l / h_l, h_r, q_r / h_r)
@@ -190,16 +202,29 @@ class SimplifiedSystem(System):
                 "Roe matrix loses real eigenvalues (path average of q h <= 0)"
             )
         s = np.sqrt(coupling)
-        lam = np.stack([u - s, u + s], axis=-1)
-        return lam, _simplified_vectors(lam)
+        return np.stack([u - s, u + s], axis=-1), None
 
-    def wave_strengths(self, lam, K, du):
+    def eigenvector_matrix(self, lam, vectors):
+        """K with the columns (1, lam), C-ordered."""
+        K = np.zeros(lam.shape + (2,))
+        K[..., 0, :] = 1.0
+        K[..., 1, :] = lam
+        return K
+
+    def wave_strengths(self, lam, vectors, du):
         """alpha = K^-1 du for the columns (1, lam) of ``roe_eigensystem``,
         by Cramer's rule; ``lam`` must be ``distinct``."""
         l0, l1 = lam[..., 0], lam[..., 1]
         d0, d1 = du[..., 0], du[..., 1]
         return np.stack([_pair_strengths(l0, l1, d0, d1),
                          _pair_strengths(l1, l0, d0, d1)], axis=-1)
+
+    def apply_eigenvectors(self, lam, vectors, c):
+        """K c = c0 (1, lam0) + c1 (1, lam1), in einsum's order."""
+        out = np.empty(np.shape(c))
+        out[..., 0] = (c[..., 0] + c[..., 1]) + 0.0
+        out[..., 1] = (lam[..., 0] * c[..., 0] + lam[..., 1] * c[..., 1]) + 0.0
+        return out
 
     def jump_integral(self, u_l, u_r, coupling):
         """([q], [q^2/h] + c [h]) for the path average c of q h against h."""
@@ -239,14 +264,6 @@ class SimplifiedSystem(System):
         return F
 
 
-def _simplified_vectors(lam):
-    """Eigenvector columns (1, lam) of the 2x2 model."""
-    K = np.zeros(lam.shape + (2,))
-    K[..., 0, :] = 1.0
-    K[..., 1, :] = lam
-    return K
-
-
 def _pair_strengths(lam, other, d0, d1):
     """Strength of the column (1, lam) in d = (d0, d1) when the one other
     column is (1, other): the row of the 2x2 inverse, (d1 - other d0)
@@ -262,17 +279,6 @@ def _shallow_water_eigenvalues(u, c):
     lam[..., 1] = np.maximum(u - c, np.minimum(u + c, 0.0))
     lam[..., 2] = np.maximum(u + c, 0.0)
     return lam
-
-
-def _shallow_water_vectors(lam, k_standing):
-    """Eigenvector columns for ascending ``lam``: (1, lam, 0) of a moving
-    field and (k_standing, 0, 1) of the standing one, where lam == 0."""
-    standing = lam == 0.0
-    K = np.zeros(lam.shape + (3,))  # C order: einsum's rounding follows layout
-    K[..., 0, :] = np.where(standing, np.expand_dims(k_standing, -1), 1.0)
-    K[..., 1, :] = lam
-    K[..., 2, :] = standing
-    return K
 
 
 class ShallowWaterSystem(System):
@@ -313,11 +319,12 @@ class ShallowWaterSystem(System):
         u = q / h
         gh = self.g * h
         # kernel vector of [[J, -S],[0,0]]: (g h/(g h - u^2), 0, 1)
-        return _shallow_water_vectors(lam, gh / (gh - u * u))
+        return self.eigenvector_matrix(lam, gh / (gh - u * u))
 
     def roe_eigensystem(self, u_l, u_r, coupling):
-        """Eigenpairs of [[J, (0, c)^T], [0, 0]]: J the flux Jacobian at the
-        Roe velocity and hbar, c the path average of -g h against sigma."""
+        """Eigenvalues of [[J, (0, c)^T], [0, 0]], J the flux Jacobian at the
+        Roe velocity and hbar and c the path average of -g h against sigma,
+        and the first entry k of the standing eigenvector (k, 0, 1)."""
         h_l, q_l, _ = self._columns(u_l)
         h_r, q_r, _ = self._columns(u_r)
         u = _roe_velocity(h_l, q_l / h_l, h_r, q_r / h_r)
@@ -328,9 +335,19 @@ class ShallowWaterSystem(System):
         # a21 = 0 only where u = +-cbar, a double zero eigenvalue that the
         # Roe step refuses; a NaN there keeps the division quiet
         a21 = np.where(a21 == 0.0, np.nan, a21)
-        return lam, _shallow_water_vectors(lam, -coupling / a21)
+        return lam, -coupling / a21
 
-    def wave_strengths(self, lam, K, du):
+    def eigenvector_matrix(self, lam, k):
+        """K with the columns (1, lam, 0) of a moving field and (k, 0, 1) of
+        the standing one, where lam == 0; C-ordered."""
+        standing = lam == 0.0
+        K = np.zeros(lam.shape + (3,))
+        K[..., 0, :] = np.where(standing, np.expand_dims(k, -1), 1.0)
+        K[..., 1, :] = lam
+        K[..., 2, :] = standing
+        return K
+
+    def wave_strengths(self, lam, k, du):
         """alpha = K^-1 du for the eigenpairs of ``roe_eigensystem``;
         ``lam`` must be ``distinct``.
 
@@ -344,7 +361,6 @@ class ShallowWaterSystem(System):
         first, last = l0 == 0.0, l2 == 0.0
         a = np.where(first, l1, l0)
         b = np.where(last, l1, l2)
-        k = np.where(first, K[..., 0, 0], np.where(last, K[..., 0, 2], K[..., 0, 1]))
         dq, dsig = du[..., 1], du[..., 2]
         r = du[..., 0] - k * dsig
         alpha_a = _pair_strengths(a, b, r, dq)
@@ -352,6 +368,24 @@ class ShallowWaterSystem(System):
         return np.stack([np.where(first, dsig, alpha_a),
                          np.where(first, alpha_a, np.where(last, alpha_b, dsig)),
                          np.where(last, dsig, alpha_b)], axis=-1)
+
+    def apply_eigenvectors(self, lam, k, c):
+        """K c for the columns of ``eigenvector_matrix(lam, k)``, in einsum's
+        order: columns 0 and 2 first, then column 1.  The first component
+        takes c_j from a moving column and k c_s from the standing one, the
+        second lam_j c_j from each, and the third is c_s: the moving columns
+        add only signed zeros there, and the ``+ 0.0`` drops their sign."""
+        l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
+        c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+        first, last = l0 == 0.0, l2 == 0.0
+        standing = np.where(first, c0, np.where(last, c2, c1))
+        kc = k * standing
+        out = np.empty(np.shape(c))
+        out[..., 0] = (np.where(first, kc, c0) + np.where(last, kc, c2)
+                       + np.where(first | last, c1, kc)) + 0.0
+        out[..., 1] = (l0 * c0 + l2 * c2 + l1 * c1) + 0.0
+        out[..., 2] = standing + 0.0
+        return out
 
     def jump_integral(self, u_l, u_r, coupling):
         """([q], [q^2/h + g h^2/2] + c [sigma], 0) for the path average c of
@@ -556,6 +590,10 @@ class TwoLayerSystem(System):
         kappa = ((lam - u1[..., None]) ** 2 - c1sq[..., None]) / bcoup[..., None]
         return lam, _two_layer_vectors(lam, kappa)
 
+    def eigenvector_matrix(self, lam, K):
+        """K, which ``roe_eigensystem`` returns as it is."""
+        return K
+
     def wave_strengths(self, lam, K, du):
         """alpha = K^-1 du for the eigenpairs of ``roe_eigensystem``, by a
         batched solve.
@@ -567,6 +605,10 @@ class TwoLayerSystem(System):
         pairs, far above the Roe step's 1e-9 bound; the solve leaves 6e-12.
         """
         return np.linalg.solve(K, du[..., None])[..., 0]
+
+    def apply_eigenvectors(self, lam, K, c):
+        """K c, by einsum on the matrix that ``wave_strengths`` solves with."""
+        return np.einsum("...ij,...j->...i", K, c)
 
     def jump_integral(self, u_l, u_r, coupling):
         """Flux differences plus the coupling terms g c1 [h2] and r g c2 [h1]

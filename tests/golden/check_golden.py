@@ -16,8 +16,11 @@ and the check says so instead of failing.
     python tests/golden/check_golden.py --compare DIR_A DIR_B
         compare two output trees file by file; no rerun.
 
-Run it with ``src`` on PYTHONPATH, or with the package installed.  Exit
-status: 0 all match, 1 a file differs or is missing, 2 another environment.
+Run it with ``src`` on PYTHONPATH, or with the package installed.  The
+configs run in two worker processes, the largest recorded one first; the
+lines come out in the order of the names, each with the seconds its config
+took in its worker.  Exit status: 0 all match, 1 a file differs or is
+missing, 2 another environment.
 A PR that moves a number re-records the digests and reports the largest
 difference per file; re-recording only to turn a red check green hides it.
 """
@@ -26,13 +29,18 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import platform
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 DIGESTS = Path(__file__).with_name("digests.json")
+# worker processes over the configs; the largest config takes about 40 %
+# of the total, so a third worker would shorten the check little
+WORKERS = 2
 
 
 def environment():
@@ -63,6 +71,19 @@ def run_builtin(name, out):
     start = time.perf_counter()
     verb(name, out)
     return time.perf_counter() - start
+
+
+def run_and_digest(name, root):
+    """Run built-in ``name`` into ``root``; return its seconds and the
+    digests of its files, keyed ``name/<file>``."""
+    seconds = run_builtin(name, root)
+    return seconds, {f"{name}/{k}": v for k, v in file_digests(Path(root) / name).items()}
+
+
+def largest_first(names, configs):
+    """``names`` by recorded seconds in ``configs``, largest first; a name
+    without a record goes first, as its size is unknown."""
+    return sorted(names, key=lambda n: -configs.get(n, {}).get("seconds", math.inf))
 
 
 def file_digests(root):
@@ -177,14 +198,21 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.out or tmp)
         diffs = []
-        for name in names:
-            seconds = run_builtin(name, root)
-            files = {f"{name}/{k}": v for k, v in file_digests(root / name).items()}
-            print(f"{name}: {len(files)} files, {seconds:.1f} s", flush=True)
-            if args.record:
-                golden["configs"][name] = {"seconds": round(seconds, 1), "files": files}
-            else:
-                diffs += differing(golden["configs"].get(name, {}).get("files", {}), files)
+        # fresh interpreters, as a CLI run would have
+        pool = ProcessPoolExecutor(WORKERS, mp_context=multiprocessing.get_context("spawn"))
+        try:
+            runs = {name: pool.submit(run_and_digest, name, root)
+                    for name in largest_first(names, golden["configs"])}
+            for name in names:
+                seconds, files = runs[name].result()
+                print(f"{name}: {len(files)} files, {seconds:.1f} s", flush=True)
+                if args.record:
+                    golden["configs"][name] = {"seconds": round(seconds, 1), "files": files}
+                else:
+                    diffs += differing(golden["configs"].get(name, {}).get("files", {}),
+                                       files)
+        finally:
+            pool.shutdown(cancel_futures=True)
         if args.record:
             golden["environment"] = environment()
             golden["configs"] = dict(sorted(golden["configs"].items()))

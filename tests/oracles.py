@@ -446,7 +446,7 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
         q = _forward1_q((h_l, q_l), h)
         r1, r2 = residual(h, q)
         rnorm = max(abs(r1), abs(r2))
-        if rnorm > 1e-9 * scale:
+        if rnorm > 1e-9 * max(scale, abs(q)):
             raise RiemannSolutionError(
                 "Riemann intersection did not converge", residual=rnorm
             )

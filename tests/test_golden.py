@@ -70,3 +70,18 @@ def test_differing_names_missing_extra_and_changed_files():
     assert check_golden.differing(expected, actual) == [
         ("a/w.csv", "not in the digests"), ("a/y.csv", "digest differs"),
         ("a/z.csv", "missing")]
+
+
+def test_the_largest_recorded_config_runs_first():
+    configs = {"a": {"seconds": 2.0}, "b": {"seconds": 30.0}, "c": {"seconds": 0.5}}
+    assert check_golden.largest_first(["a", "b", "c", "new"], configs) == ["new", "b", "a", "c"]
+
+
+@pytest.mark.skipif(ELSEWHERE is not None, reason=str(ELSEWHERE))
+def test_the_workers_report_in_the_order_of_the_names(capsys):
+    # the slower config runs first, its line comes second
+    names = ["contact_segments_roe", "dambreak"]
+    assert check_golden.largest_first(names, DIGESTS["configs"]) == names[::-1]
+    assert check_golden.main(names) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == names

@@ -616,6 +616,29 @@ def test_a_lane_whose_line_search_runs_out_falls_back_to_brentq(monkeypatch):
     assert np.array_equal(fan.w_star, np.array(ref.w_star))
 
 
+# brentq's root has q = 5.9e12, where one float step of h moves the gap
+# between the wave curves by about 4e-3: far above 1e-9 of the end states'
+# scale (3.5e-7), within 1e-9 of the root's own q
+LARGE_MIDDLE_Q = ((69862.43778262023, 98.82088149910264),
+                  (93.3775816782086, 350.36363949534854))
+
+
+def test_a_large_middle_state_is_accepted_on_the_scale_of_its_q(monkeypatch):
+    import pathfv.riemann
+
+    calls = []
+    real = pathfv.riemann.brentq
+    monkeypatch.setattr(pathfv.riemann, "brentq", lambda *a: calls.append(1) or real(*a))
+    fan = solve_riemann(*LARGE_MIDDLE_Q)
+    assert len(calls) == 1
+    h, q = fan.w_star
+    q1, q2, _ = _curves_at(_anchors(*LARGE_MIDDLE_Q), h)
+    assert q == q1 and q > 1e12
+    assert 1e-9 * max(LARGE_MIDDLE_Q[1][1], 1.0) < abs(q1 - q2) <= 1e-9 * q
+    ref = oracles.solve_riemann(*LARGE_MIDDLE_Q)
+    assert np.array_equal(fan.w_star, np.array(ref.w_star))
+
+
 def test_importing_the_package_loads_no_scipy():
     # nor does solving the two stalling pairs, which take the bracketed fallback
     code = ("import sys, pathfv.experiments; "

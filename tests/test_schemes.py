@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathfv import (
@@ -46,7 +46,7 @@ from conftest import (
 import oracles
 from pathfv.experiments import build_components, initial_solution, load_config
 from pathfv.paths import PATHS, PathFamily
-from pathfv.systems import SYSTEMS
+from pathfv.systems import SYSTEMS, distinct
 from oracles import lf_single_interface_update, roe_fluctuations
 
 G = 9.81
@@ -369,31 +369,30 @@ def test_wave_strengths_equal_the_solve_for_every_declared_pair(family, system_n
     W = RANDOM_STATES[system_name](rng, 400)
     W = W[system.is_admissible(W)][:200]
     W_r = W * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=W.shape))
-    lam, K = system.roe_eigensystem(W, W_r, path.coupling(system, W, W_r))
+    lam, vectors = system.roe_eigensystem(W, W_r, path.coupling(system, W, W_r))
+    K = system.eigenvector_matrix(lam, vectors)
     du = W_r - W
-    alpha = system.wave_strengths(lam, K, du)
+    alpha = system.wave_strengths(lam, vectors, du)
     ref = np.linalg.solve(K, du[..., None])[..., 0]
     assert np.all(np.abs(alpha - ref) <= 1e-12 * np.abs(ref).max(axis=-1, keepdims=True))
-    one = system.wave_strengths(lam[3], K[3], du[3])
+    one = system.wave_strengths(lam[3], None if vectors is None else vectors[3], du[3])
     assert one.shape == du[3].shape and np.array_equal(one, alpha[3])
 
 
-@pytest.mark.parametrize("system, path", [
+CLOSED_FORM_ROE = pytest.mark.parametrize("system, path", [
     (SIMPLE, TwoSegmentPath()), (SIMPLE, SegmentsPath()), (SW, SegmentsPath()),
     (SW, PATHS["equilibrium"].for_system(SW)),
 ], ids=lambda v: getattr(v, "name", None) or repr(v))
-def test_roe_step_solves_no_linear_system(system, path, rng, monkeypatch):
+
+
+def _roe_type_steps(system, path, rng):
+    """One Roe step, and one modified-LF step on shallow water, over a
+    smooth profile with trivial interfaces too; each result must be finite."""
     base = RANDOM_STATES[system.name](rng, 40)
     base = base[system.is_admissible(base)][0]
     x = np.linspace(0.0, 1.0, 120)[:, None]
     W = base * (1.0 + 0.05 * np.sin(2.0 * np.pi * x + np.arange(base.size)))
-    W[60::2] = W[61::2]  # trivial interfaces too
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Roe step called a dense linear-algebra routine")
-
-    monkeypatch.setattr(np.linalg, "solve", refuse)
-    monkeypatch.setattr(np.linalg, "inv", refuse)
+    W[60::2] = W[61::2]
     schemes = [RoeScheme(system, path)]
     if system is SW:
         schemes.append(ModifiedLaxFriedrichsScheme(system, path))
@@ -401,6 +400,26 @@ def test_roe_step_solves_no_linear_system(system, path, rng, monkeypatch):
         sol = make_solution(W)
         out = scheme.advance(sol, 0.5 * cfl_dt(system, sol, scheme.max_cfl))
         assert np.all(np.isfinite(out.states))
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the Roe step called {what}")
+    return refuse
+
+
+@CLOSED_FORM_ROE
+def test_roe_step_solves_no_linear_system(system, path, rng, monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", _refuse("a dense linear-algebra routine"))
+    monkeypatch.setattr(np.linalg, "inv", _refuse("a dense linear-algebra routine"))
+    _roe_type_steps(system, path, rng)
+
+
+@CLOSED_FORM_ROE
+def test_roe_step_builds_no_eigenvector_matrix(system, path, rng, monkeypatch):
+    monkeypatch.setattr(type(system), "eigenvector_matrix", _refuse("a K builder"))
+    monkeypatch.setattr(np, "einsum", _refuse("einsum"))
+    _roe_type_steps(system, path, rng)
 
 
 def _simplified_state():
@@ -480,6 +499,86 @@ def test_coupling_and_integral_equal_the_two_calls(family, system_name, data):
     for cls in schemes:
         assert _fluctuation_bits(cls(system, path), UL, UR) == _fluctuation_bits(
             cls(system, two_calls), UL, UR)
+
+
+def _einsum_bits(K, c):
+    return np.einsum("...ij,...j->...i", K, c).tobytes()
+
+
+def _coefficients(draw, shape):
+    """Coefficient vectors of ``shape`` with zeros and negative zeros."""
+    entry = st.one_of(st.sampled_from((0.0, -0.0)),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    values = draw(st.lists(entry, min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@every_declared_pair
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_applied_eigenvectors_are_einsums_bits(family, system_name, data):
+    system = SYSTEMS[system_name]()
+    path = family.for_system(system, 0.03)
+    pairs = data.draw(st.lists(PAIRS[system_name], min_size=1, max_size=6))
+    UL, UR = (np.array(side, dtype=float) for side in zip(*pairs))
+    lam, vectors = system.roe_eigensystem(UL, UR, path.coupling(system, UL, UR))
+    ok = distinct(lam)  # the step refuses the other lanes before applying
+    assume(ok.any())
+    lam = lam[ok]
+    vectors = None if vectors is None else vectors[ok]
+    K = system.eigenvector_matrix(lam, vectors)
+    coeff = system.wave_strengths(lam, vectors, UR[ok] - UL[ok])
+    drawn = _coefficients(data.draw, lam.shape)
+    for c in (np.minimum(lam, 0.0) * coeff, np.maximum(lam, 0.0) * coeff,
+              0.0 * coeff, -0.0 * coeff, drawn):
+        assert system.apply_eigenvectors(lam, vectors, c).tobytes() == _einsum_bits(K, c)
+        one = system.apply_eigenvectors(lam[0], None if vectors is None else vectors[0],
+                                        c[0])
+        assert one.tobytes() == _einsum_bits(K[0], c[0])
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+def test_shallow_water_standing_column_in_every_position(position, rng):
+    # lam ascending with the standing 0 at ``position``; coefficient vectors
+    # with zeros and negative zeros in every column
+    speeds = np.sort(rng.uniform(0.1, 5.0, size=(400, 2)), axis=-1)
+    moving = {0: speeds, 1: speeds * [-1.0, 1.0], 2: -speeds[:, ::-1]}[position]
+    lam = np.insert(moving, position, 0.0, axis=-1)
+    k = rng.uniform(-3.0, 3.0, size=400)
+    c = rng.standard_normal((400, 3))
+    c[rng.random(c.shape) < 0.3] = 0.0
+    c[rng.random(c.shape) < 0.3] = -0.0
+    K = SW.eigenvector_matrix(lam, k)
+    assert SW.apply_eigenvectors(lam, k, c).tobytes() == _einsum_bits(K, c)
+    for i in (0, 1, 2, 399):
+        assert SW.apply_eigenvectors(lam[i], k[i], c[i]).tobytes() == _einsum_bits(K[i], c[i])
+
+
+FLUCTUATION_SCHEMES = (RoeScheme, LaxFriedrichsScheme, ModifiedLaxFriedrichsScheme)
+# the Roe step's jump-identity bound: below a sigma jump of 1e-10 * scale
+# the equilibrium coupling is -g hbar, which leaves about g [h] [sigma]
+FLUCTUATION_SUM_RTOL = 1e-9
+
+
+@every_declared_pair
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fluctuations_sum_to_the_path_integral(family, system_name, data):
+    system = SYSTEMS[system_name]()
+    path = family.for_system(system, 0.03)
+    pairs = data.draw(st.lists(PAIRS[system_name], min_size=1, max_size=6))
+    UL, UR = (np.array(side, dtype=float) for side in zip(*pairs))
+    integral = path_integral(path, system, UL, UR)
+    bound = FLUCTUATION_SUM_RTOL * np.maximum(1.0, np.abs(integral).max(axis=-1))
+    for cls in FLUCTUATION_SCHEMES:
+        if cls._refusal(system_name, path) is not None:
+            continue
+        try:
+            mm, mp = cls(system, path).fluctuations(UL, UR, 0.1, 0.001)
+        except EigenDecompositionError:  # coincident Roe eigenvalues
+            continue
+        assert np.all(np.abs(mm + mp - integral).max(axis=-1) <= bound), cls.name
 
 
 @pytest.mark.parametrize("scheme_cls", [RoeScheme, ModifiedLaxFriedrichsScheme])
@@ -606,8 +705,8 @@ def test_differs_equals_the_reduction_forms(ncomp, rng):
 
 @pytest.mark.parametrize("system_name", list(SYSTEMS))
 def test_eigenvector_matrices_are_c_ordered(system_name, rng):
-    # the fluctuations apply K with einsum, whose rounding depends on K's
-    # memory layout; byte-identical artifacts rest on C order
+    # the two-layer fluctuations apply K with einsum, whose rounding depends
+    # on K's memory layout; byte-identical artifacts rest on C order
     system = SYSTEMS[system_name]()
     W = RANDOM_STATES[system_name](rng, 40)
     W = W[system.is_admissible(W)][:20]
@@ -617,7 +716,8 @@ def test_eigenvector_matrices_are_c_ordered(system_name, rng):
     for family in PATHS.values():
         if system_name in family.couplings:
             path = family.for_system(system, 0.04)
-            _, K = system.roe_eigensystem(W, W_r, path.coupling(system, W, W_r))
+            lam, vectors = system.roe_eigensystem(W, W_r, path.coupling(system, W, W_r))
+            K = system.eigenvector_matrix(lam, vectors)
             assert K.flags.c_contiguous, family.name
 
 
@@ -654,7 +754,8 @@ class TestModifiedLF:
 
         wl = np.array([1.1, 0.8])
         wr = np.array([1.4, 0.6])
-        lam, K, _, _ = _roe_eigendata(SIMPLE, TwoSegmentPath(), wl, wr)
+        lam, vectors, _, _ = _roe_eigendata(SIMPLE, TwoSegmentPath(), wl, wr)
+        K = SIMPLE.eigenvector_matrix(lam, vectors)
         du = wr - wl
         coeff = np.linalg.solve(K, du)
         dx, dt = 0.01, 0.002
