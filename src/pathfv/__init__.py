@@ -41,6 +41,7 @@ from .paths import (
     path_integral,
 )
 from .schemes import (
+    Batch,
     DirichletBoundary,
     FreeBoundary,
     GlimmScheme,
@@ -53,6 +54,7 @@ from .schemes import (
     VanDerCorputSampler,
     cfl_dt,
     evolve,
+    evolve_group,
     roe_matrix,
     step,
 )

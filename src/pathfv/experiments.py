@@ -41,6 +41,7 @@ from .hugoniot import curve_distance as _curve_distance
 from .hugoniot import _newton_free_state, _ordered_pair
 from .paths import PATHS
 from .schemes import SCHEMES, DirichletBoundary, FreeBoundary, Grid, Solution, evolve
+from .schemes import _march
 from .systems import SYSTEMS
 
 
@@ -449,6 +450,15 @@ def run(cfg, out_dir, seed=None, threads=1):
                    name, cfg, seed)
 
 
+# A group steps at most this many lanes (jobs x cells).  Larger groups ran
+# slower than their jobs one at a time, because from about 1,800 two-layer
+# lanes (6,000 2x2 lanes) on a step faulted memory pages in on every step:
+# two-layer steps of 2 x 800 cells took 0.83-0.86 of the jobs' time alone
+# with no minor fault, 2 x 900 took 1.03-1.11 with 60,000-87,000 faults per
+# run (glibc, 2-vCPU Linux guest).
+_GROUP_LANES = 1600
+
+
 def _exact_sweep_points(system, path, sweep, fixed, side):
     """Exact curve and the exact states at the requested targets."""
     k = sweep["family"] - 1
@@ -511,14 +521,23 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
         jobs += [(eps, vcfg, xi_t, w_free, dx)
                  for xi_t, w_free in points for dx in sweep["meshes_dx"]]
 
-    def one_job(job):
-        eps, vcfg, xi_t, w_free, dx = job
-        system, path, scheme = build_components(vcfg, seed=seed)
-        grid = Grid(domain[0], domain[1], int(round((domain[1] - domain[0]) / dx)))
-        sol = Solution(grid, 0.0,
-                       _jump(grid.centers, 0.0, *_ordered_pair(fixed, w_free, side)))
-        snaps = evolve(scheme, sol, sweep["t_end"], cfg["cfl"],
-                       snapshot_times=sweep["snapshot_times"])
+    def cells(dx):
+        return int(round((domain[1] - domain[0]) / dx))
+
+    # the jobs of one (path variant, mesh) pair share the scheme, the path
+    # and the grid: they evolve in lockstep, in groups of bounded size
+    pairs = {}
+    for i, (eps, _, _, _, dx) in enumerate(jobs):
+        pairs.setdefault((eps, dx), []).append(i)
+    groups = []
+    for (_, dx), members in pairs.items():
+        size = max(1, _GROUP_LANES // cells(dx))
+        groups += [members[k:k + size] for k in range(0, len(members), size)]
+
+    def measure(job, snaps, system, path):
+        """(xi target, fit, residuals) of a job's snapshots and None, or None
+        and the failure record of a job whose front is not found."""
+        eps, _, xi_t, _, dx = job
         plateau = max(10, int(round(0.04 / dx)))
         margin = max(3, int(round(0.01 / dx)))
         try:
@@ -531,9 +550,37 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
                           "error": f"{type(exc).__name__}: {exc}"}
         return (xi_t, fit, *rh_residual(system, fit, path)), None
 
+    def one_group(members):
+        """(each member's (entry, failure) from ``measure``; the job index and
+        the error of the first member whose evolution fails, or None)."""
+        _, vcfg, _, _, dx = jobs[members[0]]
+        system, path, scheme = build_components(vcfg, seed=seed)
+        grid = Grid(domain[0], domain[1], cells(dx))
+        sols = [Solution(grid, 0.0, _jump(grid.centers, 0.0,
+                                          *_ordered_pair(fixed, jobs[i][3], side)))
+                for i in members]
+        runs, failure = _march(scheme, sols, sweep["t_end"], cfg["cfl"], None,
+                               sweep["snapshot_times"], None)
+        if failure is not None:
+            return [], (members[failure[0]], failure[1])
+        return [measure(jobs[i], snaps, system, path)
+                for i, snaps in zip(members, runs)], None
+
+    outcomes = [None] * len(jobs)
+    errors = []
+    for members, (measured, error) in zip(groups, _map(one_group, groups, threads)):
+        for i, outcome in zip(members, measured):
+            outcomes[i] = outcome
+        if error is not None:
+            errors.append(error)
+    if errors:
+        # the error that evolving the jobs one after another raises first
+        _, exc = min(errors, key=lambda e: e[0])
+        raise exc
+
     by_variant = {}
     failures = []
-    for (eps, _, _, _, dx), (entry, failure) in zip(jobs, _map(one_job, jobs, threads)):
+    for (eps, _, _, _, dx), (entry, failure) in zip(jobs, outcomes):
         if failure is None:
             by_variant.setdefault((eps, dx), []).append(entry)
         else:

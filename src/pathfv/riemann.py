@@ -471,21 +471,23 @@ def _flat(fan):
 
 
 def sample(fan, xi):
-    """Self-similar evaluation of every lane of the fan at x/t = xi.
+    """Self-similar evaluation of every lane of the fan at x/t = xi, one
+    number or one per lane.
 
     Returns the states, shape (..., 2).
     """
     w_l, w_star, w_r, (k1, k2), (sl1, sl2), (sr1, sr2) = _flat(fan)
+    xi = np.broadcast_to(np.asarray(xi, dtype=float).reshape(-1), k1.shape)
     out = w_r.copy()
     # the first case that holds wins: write them from the last to the first
     inside = (k2 == RAREFACTION) & (xi < sr2)
     if inside.any():
-        out[inside, 0], out[inside, 1] = _rarefaction_state_at(w_r[inside], 2, xi)
+        out[inside, 0], out[inside, 1] = _rarefaction_state_at(w_r[inside], 2, xi[inside])
     middle = ((k2 != NULL) & (xi < sl2)) | ((k1 == SHOCK) & (xi == sl1))
     np.copyto(out, w_star, where=middle[:, None])
     inside = (k1 == RAREFACTION) & (xi < sr1)
     if inside.any():
-        out[inside, 0], out[inside, 1] = _rarefaction_state_at(w_l[inside], 1, xi)
+        out[inside, 0], out[inside, 1] = _rarefaction_state_at(w_l[inside], 1, xi[inside])
     np.copyto(out, w_l, where=(xi < sl1)[:, None])
     return out.reshape(fan.w_l.shape)
 

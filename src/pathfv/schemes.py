@@ -28,7 +28,11 @@ Each scheme class declares its config id (``name``), ``max_cfl`` and the
 systems and paths, and paths without a coupling for the system.
 ``SCHEMES`` maps ids to classes.
 
-Fluctuation functions are vectorized over a leading interface axis.
+Fluctuation functions are vectorized over the leading axes: the interfaces,
+and before them the jobs of a ``Batch``.  A step of a ``Batch`` advances
+several solutions on one grid together, each by its own dt;
+``evolve_group`` marches such a group of jobs in lockstep, and ``evolve``
+is its group of one.
 """
 
 import logging
@@ -42,6 +46,7 @@ from .errors import (
     DomainError,
     EigenDecompositionError,
     HyperbolicityLossError,
+    PathFVError,
     RiemannSolutionError,
     RoeConstructionError,
     StepLimitError,
@@ -53,8 +58,8 @@ from .systems import SYSTEMS, ShallowWaterSystem, SimplifiedSystem, require_dist
 
 log = logging.getLogger(__name__)
 
-# steps after which ``evolve`` gives up; this also stops a run whose dt is
-# positive but too small to move t
+# steps after which ``evolve`` gives up on a job; this also stops a run whose
+# dt is positive but too small to move t
 _STEP_BUDGET = 10_000_000
 
 
@@ -105,11 +110,45 @@ class Solution:
         object.__setattr__(self, "states", states)
 
 
+class Batch:
+    """Solutions on one grid that one ``Scheme.advance`` steps together, one
+    per job; ``states`` stacks theirs along a leading job axis (J, m, n),
+    except that a lone job's are its own (m, n), so a batch of one steps in
+    the shapes of a single Solution.
+
+    A step draws its random number (Glimm's theta) once per batch, through
+    ``draw``; the one-job batches of ``job`` share it, so a step redone one
+    job at a time samples as the batched step did.
+    """
+
+    def __init__(self, sols, draws=None):
+        self.sols = tuple(sols)
+        self.grid = self.sols[0].grid
+        self.draws = [] if draws is None else draws
+        if len(self.sols) == 1:
+            self.states = self.sols[0].states
+            return
+        if any(s.grid != self.grid for s in self.sols):
+            raise DomainError("the solutions of a batch must share one grid")
+        self.states = np.stack([s.states for s in self.sols])
+
+    def job(self, j):
+        """The one-job batch of job ``j``, sharing this batch's draw."""
+        return Batch((self.sols[j],), self.draws)
+
+    def draw(self, take):
+        """``take()`` at the step's first draw, the same value after."""
+        if not self.draws:
+            self.draws.append(take())
+        return self.draws[0]
+
+
 class FreeBoundary:
-    """Zero-order extrapolation: ghost cells copy the nearest interior cell."""
+    """Zero-order extrapolation: ghost cells copy the nearest interior cell.
+    Boundaries extend the cell axis, the one before the components."""
 
     def extend(self, states):
-        return np.concatenate([states[:1], states, states[-1:]], axis=0)
+        return np.concatenate([states[..., :1, :], states, states[..., -1:, :]], axis=-2)
 
 
 class DirichletBoundary:
@@ -120,13 +159,16 @@ class DirichletBoundary:
         self.right = None if right is None else np.asarray(right, dtype=float)
 
     def extend(self, states):
-        lo = states[:1] if self.left is None else self.left.reshape(1, -1)
-        hi = states[-1:] if self.right is None else self.right.reshape(1, -1)
+        edge = states[..., :1, :]
+        lo = edge if self.left is None else self.left.reshape(1, -1)
+        hi = states[..., -1:, :] if self.right is None else self.right.reshape(1, -1)
         for side, ghost in (("left", lo), ("right", hi)):
-            if ghost.shape[1] != states.shape[1]:
-                raise DomainError(f"the {side} ghost state has {ghost.shape[1]} "
-                                  f"components, the cells have {states.shape[1]}")
-        return np.concatenate([lo, states, hi], axis=0)
+            if ghost.shape[-1] != states.shape[-1]:
+                raise DomainError(f"the {side} ghost state has {ghost.shape[-1]} "
+                                  f"components, the cells have {states.shape[-1]}")
+        if states.ndim > 2:  # one ghost row per job
+            lo, hi = np.broadcast_to(lo, edge.shape), np.broadcast_to(hi, edge.shape)
+        return np.concatenate([lo, states, hi], axis=-2)
 
 
 def cfl_dt(system, sol, cfl, max_cfl=1.0):
@@ -159,13 +201,20 @@ def _courant_dt(courant, dx, speed):
 
 
 def step(scheme, sol, dt, bc=None, lambda_max=None):
-    """One explicit update of ``sol`` by ``dt``; refuses unstable steps."""
-    grid = sol.grid
-    _check_cfl(scheme, sol, dt, lambda_max)
+    """One explicit update of ``sol`` by ``dt``; refuses unstable steps.
+
+    ``sol`` may be a ``Batch``: ``dt`` and ``lambda_max`` then hold one value
+    per job, every check runs per job, and the result is the list of the
+    jobs' new Solutions.
+    """
+    if isinstance(sol, Solution):
+        return step(scheme, Batch((sol,)), [dt], bc, [lambda_max])[0]
+    for s, d, lam in zip(sol.sols, dt, lambda_max or [None] * len(sol.sols)):
+        _check_cfl(scheme, s, d, lam)
     ext = (bc or FreeBoundary()).extend(sol.states)
-    mm, mp = scheme.fluctuations(ext[:-1], ext[1:], grid.dx, dt)
-    new = sol.states - (dt / grid.dx) * (mp[:-1] + mm[1:])
-    return _next_solution(scheme.system, sol, dt, new)
+    lone = ext.ndim == 2
+    new = scheme._update(sol, ext, dt[0] if lone else np.reshape(dt, (-1, 1, 1)))
+    return _next_solutions(scheme.system, sol, dt, new)
 
 
 def _check_cfl(scheme, sol, dt, lambda_max):
@@ -188,19 +237,25 @@ def _check_cfl(scheme, sol, dt, lambda_max):
         )
 
 
-def _next_solution(system, sol, dt, new):
-    """The Solution ``new`` one step of ``dt`` after ``sol``; its one scan
-    refuses non-finite values before the admissibility pass, which warns
-    about inadmissible cells and gives the carried max |lambda|."""
-    nxt = Solution(sol.grid, sol.t + dt, new, sol.n + 1)
-    ok, speed = system.is_admissible(new, with_speed=True)
-    if not np.all(ok):
-        idx = np.nonzero(~np.asarray(ok))[0]
-        log.warning(
-            "step %d: %d cells left the admissible region (first at cell %d)",
-            nxt.n, idx.size, int(idx[0]),
-        )
-    object.__setattr__(nxt, "max_speed", speed)
+def _next_solutions(system, batch, dt, new):
+    """The Solutions ``new`` (J, m, n), each one step of its ``dt`` after its
+    job's.  Each job's own scan refuses non-finite values before the one
+    admissibility pass over all jobs, which warns about each job's
+    inadmissible cells and gives each job's carried max |lambda|."""
+    lone = new.ndim == 2
+    nxt = [Solution(s.grid, s.t + d, w, s.n + 1)
+           for s, d, w in zip(batch.sols, dt, [new] if lone else new)]
+    ok, speeds = system.is_admissible(new, with_speed=True)
+    if lone:
+        ok, speeds = [ok], [speeds]
+    for sol, good, speed in zip(nxt, ok, speeds):
+        if not np.all(good):
+            idx = np.nonzero(~good)[0]
+            log.warning(
+                "step %d: %d cells left the admissible region (first at cell %d)",
+                sol.n, idx.size, int(idx[0]),
+            )
+        object.__setattr__(sol, "max_speed", speed)
     return nxt
 
 
@@ -239,7 +294,13 @@ def _roe_eigendata(system, path, UL, UR):
 def _check_jump(jump, integral):
     """Property 3 safety net: ``jump`` (Mm + Mp, or A [u]) must equal the path
     integral to 1e-9 of max(1, |integral|); closed-form wave strengths do
-    not come from solving with the same K."""
+    not come from solving with the same K.  A (J, m, n) batch is checked
+    job by job, so a job with a large integral does not loosen the check
+    of another."""
+    if jump.ndim > 2:
+        for one, ref in zip(jump, integral):
+            _check_jump(one, ref)
+        return
     resid = np.abs(jump - integral).max(initial=0.0)  # an empty batch passes
     scale = max(1.0, float(np.abs(integral).max(initial=0.0)))
     if resid > 1e-9 * scale:
@@ -266,11 +327,13 @@ def roe_matrix(system, path, u_l, u_r):
 class Scheme:
     """Base: each class declares ``name``, ``max_cfl``, ``systems`` and ``paths``.
 
-    ``advance(sol, dt, bc, lambda_max)`` is the one update the driver calls.
-    Fluctuation schemes provide a vectorized ``fluctuations(UL, UR, dx, dt)``
-    and advance by ``step``; a scheme without a fluctuation form (Glimm)
-    overrides ``advance``.  ``seed`` offsets the sequence of a sampling
-    scheme; the others ignore it.
+    ``advance(sol, dt, bc, lambda_max)`` is the one update the driver calls,
+    on a Solution or a ``Batch``; it advances by ``step``, whose update is
+    ``_update``.  Fluctuation schemes provide a vectorized
+    ``fluctuations(UL, UR, dx, dt)``, where dt broadcasts against the
+    interfaces (one per job of a batch); a scheme without a fluctuation form
+    (Glimm) overrides ``_update``.  ``seed`` offsets the sequence of a
+    sampling scheme; the others ignore it.
     """
 
     max_cfl = 1.0
@@ -299,6 +362,13 @@ class Scheme:
 
     def advance(self, sol, dt, bc=None, lambda_max=None):
         return step(self, sol, dt, bc=bc, lambda_max=lambda_max)
+
+    def _update(self, batch, ext, dt):
+        """The jobs' new states from their extended states ``ext`` (J, m + 2,
+        n) and steps ``dt`` (J, 1, 1); a lone job's (m + 2, n) and dt."""
+        dx = batch.grid.dx
+        mm, mp = self.fluctuations(ext[..., :-1, :], ext[..., 1:, :], dx, dt)
+        return batch.states - (dt / dx) * (mp[..., :-1, :] + mm[..., 1:, :])
 
 
 def _differs(left, right):
@@ -443,21 +513,24 @@ class GlimmScheme(Scheme):
         super().__init__(system, path or TwoSegmentPath())
         self.sampler = VanDerCorputSampler(offset=seed)
 
-    def advance(self, sol, dt, bc=None, lambda_max=None):
-        grid = sol.grid
-        _check_cfl(self, sol, dt, lambda_max)
-        ext = (bc or FreeBoundary()).extend(sol.states)
-        theta = self.sampler.take()
+    def _update(self, batch, ext, dt):
+        # one theta per step, shared by the jobs of a batch
+        grid = batch.grid
+        theta = batch.draw(self.sampler.take)
         # cell i samples interface i of ext (its left one) or interface i + 1
         if theta < 0.5:
             shift, xi = 0, theta * grid.dx / dt
         else:
             shift, xi = 1, (theta - 1.0) * grid.dx / dt
-        left, right = ext[shift:shift + grid.m], ext[shift + 1:shift + grid.m + 1]
+        m = grid.m
+        left = ext[..., shift:shift + m, :].reshape(-1, 2)
+        right = ext[..., shift + 1:shift + m + 1, :].reshape(-1, 2)
         new = left.copy()
         lanes = np.flatnonzero(_differs(left, right))
-        new[lanes] = fan_sample(_fans(left, right, lanes, first=shift), xi)
-        return _next_solution(self.system, sol, dt, new)
+        # a lane's job is its row of the batch, lane // m
+        new[lanes] = fan_sample(_fans(left, right, lanes, first=shift),
+                                np.reshape(xi, -1)[lanes // m])
+        return new.reshape(ext.shape[:-2] + (m, 2))
 
 
 def evolve(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):
@@ -466,33 +539,91 @@ def evolve(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):
     The step size is recomputed from the current data every step and clipped
     so snapshot times and t_end are hit exactly.  The wave speed comes from
     the speed the previous step carried on its ``Solution``; the first step,
-    and any step after one that carried none, asks the system.
+    and any step after one that carried none, asks the system.  This is
+    ``evolve_group`` on a group of one.
     """
+    each = None if on_step is None else (lambda j, s: on_step(s))
+    return evolve_group(scheme, [sol], t_end, cfl, bc, snapshot_times, each)[0]
+
+
+def evolve_group(scheme, sols, t_end, cfl, bc=None, snapshot_times=(), on_step=None):
+    """March the solutions ``sols``, jobs on one grid, to ``t_end`` in
+    lockstep; returns one snapshot list per job, bit for bit what ``evolve``
+    returns for that job alone.
+
+    Each group step stacks the jobs short of t_end into one ``Batch`` and
+    makes one ``scheme.advance`` of it; a job leaves the batch when it
+    reaches t_end.  Everything else stays per job: its dt, CFL check, step
+    count and budget, snapshot marks, carried wave speed, non-finite scan,
+    admissibility warnings and jump-check scale.  ``on_step(j, sol)`` sees
+    each new Solution of job j.
+
+    A group step that raises is redone one job at a time.  A job that fails
+    leaves the group with the jobs after it; once the jobs before it are
+    done its error is raised, which is the error that evolving the jobs one
+    after another raises.
+    """
+    runs, failure = _march(scheme, sols, t_end, cfl, bc, snapshot_times, on_step)
+    if failure is not None:
+        _, exc = failure
+        raise exc
+    return runs
+
+
+def _march(scheme, sols, t_end, cfl, bc, snapshot_times, on_step):
+    """``evolve_group``'s loop: (the snapshot lists of the jobs before the
+    first failing one, all of them if none fails; (j, error) of that job
+    j, or None)."""
     bc = bc or FreeBoundary()
-    marks = sorted(t for t in set(snapshot_times) if sol.t < t <= t_end)
-    snaps = []
-    guard = 0
-    # the input's own max_speed is not trusted: it may come from another system
-    lam_max = None
-    while sol.t < t_end - 1e-13:
-        if lam_max is None:
-            lam_max = _max_speed(scheme.system, sol.states)
-        dt = min(_courant_dt(cfl, sol.grid.dx, lam_max), t_end - sol.t)
-        if marks:
-            dt = min(dt, marks[0] - sol.t)
-        sol = scheme.advance(sol, dt, bc=bc, lambda_max=lam_max)
-        lam_max = sol.max_speed
-        if marks and sol.t >= marks[0] - 1e-13:
-            snaps.append(sol)
-            marks.pop(0)
-        if on_step is not None:
-            on_step(sol)
+    sols = list(sols)
+    marks = [sorted(t for t in set(snapshot_times) if s.t < t <= t_end) for s in sols]
+    snaps = [[] for _ in sols]
+    # the inputs' own max_speed is not trusted: they may come from another system
+    speed = [None] * len(sols)
+
+    def dt_of(j):
+        if speed[j] is None:
+            speed[j] = _max_speed(scheme.system, sols[j].states)
+        dt = min(_courant_dt(cfl, sols[j].grid.dx, speed[j]), t_end - sols[j].t)
+        return min(dt, marks[j][0] - sols[j].t) if marks[j] else dt
+
+    failure = None
+    guard = 0  # every live job has taken every group step: one count serves all
+    live = [j for j, s in enumerate(sols) if s.t < t_end - 1e-13]
+    while live:
+        batch = Batch([sols[j] for j in live])
+        try:
+            new = scheme.advance(batch, [dt_of(j) for j in live], bc=bc,
+                                 lambda_max=[speed[j] for j in live])
+        except PathFVError:
+            # redo the step one job at a time, as each job alone takes it
+            new = []
+            for k, j in enumerate(live):
+                try:
+                    new += scheme.advance(batch.job(k), [dt_of(j)], bc=bc,
+                                          lambda_max=[speed[j]])
+                except PathFVError as exc:
+                    failure = j, exc
+                    break
+            live = live[:len(new)]
+        for j, sol in zip(live, new):
+            sols[j], speed[j] = sol, sol.max_speed
+            if marks[j] and sol.t >= marks[j][0] - 1e-13:
+                snaps[j].append(sol)
+                marks[j].pop(0)
+            if on_step is not None:
+                on_step(j, sol)
         guard += 1
-        if guard > _STEP_BUDGET:
-            raise StepLimitError("evolve exceeded the step guard", t=sol.t)
-    if not snaps or snaps[-1].t < sol.t - 1e-13:
-        snaps.append(sol)
-    return snaps
+        if live and guard > _STEP_BUDGET:
+            failure = live[0], StepLimitError("evolve exceeded the step guard",
+                                              t=sols[live[0]].t)
+            break
+        live = [j for j in live if sols[j].t < t_end - 1e-13]
+    done = len(sols) if failure is None else failure[0]
+    for sol, run in zip(sols[:done], snaps):
+        if not run or run[-1].t < sol.t - 1e-13:
+            run.append(sol)
+    return snaps[:done], failure
 
 
 SCHEMES = {

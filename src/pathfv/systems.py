@@ -101,6 +101,19 @@ def require_distinct(lam, what, lane):
             f"{what} eigenvalues are not distinct at {lane} {i}", index=i)
 
 
+def _job_speeds(w, top, fine):
+    """``is_admissible``'s carried speed from the max |lambda| ``top`` of each
+    state of ``w`` and the mask ``fine`` of the states where
+    ``max_abs_speed`` does not raise: the max over all of ``w``, or a list
+    of the maxima over each job of a (J, m, N) stack; None for a job with a
+    state that is not fine."""
+    if w.ndim < 3:
+        return float(top.max(initial=0.0)) if fine.all() else None
+    top = top.reshape(len(w), -1).max(axis=-1, initial=0.0).tolist()
+    fine = fine.reshape(len(w), -1).all(axis=-1).tolist()
+    return [t if f else None for t, f in zip(top, fine)]
+
+
 def _roe_velocity(h_l, u_l, h_r, u_r):
     sl, sr = np.sqrt(h_l), np.sqrt(h_r)
     return (sl * u_l + sr * u_r) / (sl + sr)
@@ -240,7 +253,8 @@ class SimplifiedSystem(System):
 
         With ``with_speed`` the result is ``(ok, speed)``: speed is what
         ``max_abs_speed(w)`` returns, from the same pass, or None where that
-        call would raise.
+        call would raise; for a (J, m, 2) stack of jobs, one such speed per
+        job.
         """
         w = np.asarray(w, dtype=float)
         h, q = w[..., 0], w[..., 1]
@@ -250,12 +264,10 @@ class SimplifiedSystem(System):
             s = h * np.sqrt(u)
             ok = (q > 0) & positive & (h < np.cbrt(16.0 * q))
             ok &= s > 0.5 * DISTINCTNESS_RTOL * (u + s)
-        if not with_speed:
-            return ok
-        speed = None
-        if positive.all() and np.all(u >= 0):
-            speed = float(max(np.abs(u - s).max(), np.abs(u + s).max()))
-        return ok, speed
+            if not with_speed:
+                return ok
+            top = np.maximum(np.abs(u - s), np.abs(u + s))
+        return ok, _job_speeds(w, top, positive & (u >= 0))
 
     def conservative_flux(self, w):
         h, q = self._columns(w)
@@ -401,7 +413,8 @@ class ShallowWaterSystem(System):
 
         With ``with_speed`` the result is ``(ok, speed)``: speed is what
         ``max_abs_speed(w)`` returns, from the same pass, or None where that
-        call would raise.
+        call would raise; for a (J, m, 3) stack of jobs, one such speed per
+        job.
         """
         w = np.asarray(w, dtype=float)
         h, q = w[..., 0], w[..., 1]
@@ -413,10 +426,7 @@ class ShallowWaterSystem(System):
         ok = positive & (np.minimum(slow, fast) > DISTINCTNESS_RTOL * scale)
         if not with_speed:
             return ok
-        speed = None
-        if positive.all():
-            speed = float(max(np.maximum(slow, fast).max(), 0.0))
-        return ok, speed
+        return ok, _job_speeds(w, np.maximum(slow, fast), positive)
 
     def conservative_flux(self, w):
         h, _, _ = self._columns(w)
@@ -641,13 +651,13 @@ class TwoLayerSystem(System):
 
         With ``with_speed`` the result is ``(ok, speed)``: speed is what
         ``max_abs_speed(w)`` returns, from the same solve, or None where that
-        call would raise.
+        call would raise; for a (J, m, 4) stack of jobs, one such speed per
+        job.
         """
         w = np.asarray(w, dtype=float)
         scalar = w.ndim == 1
         batch = w.reshape(-1, 4)
         ok = self._positive(batch)
-        speed = None
         idx = np.flatnonzero(ok)
         try:
             lam = self.eigenvalues(batch[idx])
@@ -656,9 +666,10 @@ class TwoLayerSystem(System):
             ok[idx[list(exc.indices)]] = False
             idx = np.flatnonzero(ok)
             lam = self.eigenvalues(batch[idx])
-        else:
-            if idx.size == ok.size:
-                speed = float(np.abs(lam).max())
+        if with_speed:
+            top = np.zeros(ok.size)
+            top[idx] = np.abs(lam).max(axis=-1)
+            speed = _job_speeds(w, top, ok)
         ok[idx] = distinct(lam)
         ok = bool(ok[0]) if scalar else ok.reshape(w.shape[:-1])
         return (ok, speed) if with_speed else ok

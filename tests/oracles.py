@@ -696,3 +696,35 @@ def endpoint_matrix(fun, svals, v, which):
     g = (lambda u: fun(svals, u, v)) if which == "l" else (lambda u: fun(svals, v, u))
     d1, d2 = (central_differences(g, v, step) for step in (1e-3, 5e-4))
     return np.stack(tuple((4.0 * d2 - d1) / 3.0), axis=-1)
+
+
+def evolve_alone(scheme, sol, t_end, cfl, bc=None, snapshot_times=(), on_step=None):
+    """One job evolved alone, one ``scheme.advance`` of one Solution per
+    step, on the public step API: the loop ``evolve_group`` must reproduce
+    bit for bit for each of its jobs."""
+    from pathfv.errors import StepLimitError
+    from pathfv.schemes import _STEP_BUDGET, _courant_dt, _max_speed
+
+    marks = sorted(t for t in set(snapshot_times) if sol.t < t <= t_end)
+    snaps = []
+    guard = 0
+    lam_max = None
+    while sol.t < t_end - 1e-13:
+        if lam_max is None:
+            lam_max = _max_speed(scheme.system, sol.states)
+        dt = min(_courant_dt(cfl, sol.grid.dx, lam_max), t_end - sol.t)
+        if marks:
+            dt = min(dt, marks[0] - sol.t)
+        sol = scheme.advance(sol, dt, bc=bc, lambda_max=lam_max)
+        lam_max = sol.max_speed
+        if marks and sol.t >= marks[0] - 1e-13:
+            snaps.append(sol)
+            marks.pop(0)
+        if on_step is not None:
+            on_step(sol)
+        guard += 1
+        if guard > _STEP_BUDGET:
+            raise StepLimitError("evolve exceeded the step guard", t=sol.t)
+    if not snaps or snaps[-1].t < sol.t - 1e-13:
+        snaps.append(sol)
+    return snaps

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathfv import hugoniot
@@ -304,3 +304,109 @@ class TestCurveDistance:
         mid = 0.5 * (curve.xi[3] + curve.xi[4])
         w = curve.interpolate(mid)
         assert np.allclose(w, 0.5 * (curve.states[3] + curve.states[4]), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The recovery paths of the continuation, reached through trace_exact.  The
+# pinned inputs were found by a random search over fixed states, families,
+# sides, ranges and step counts, with a line trace of hugoniot.py:
+# (system, path, fixed state, side, family index, xi range, steps).
+RECOVERY = {
+    # a corrector fails (its Newton stalls, then gives up), the halved step
+    # succeeds and the trace reaches its end
+    "trace_halves_and_recovers": (SimplifiedSystem(), TwoSegmentPath(), [1.35, 1.99],
+                                  "right", 1, -2.0, 6),
+    # a Newton trial step leaves the hyperbolic region; the halved one lands
+    "newton_halves_after_an_error": (TwoLayerSystem(G, 0.95), SegmentsPath(),
+                                     [0.35, 0.15, 0.86, 0.02], "left", 1, -1.0, 2),
+    # a full Newton step raises the residual; a halved one lowers it
+    "newton_halves_a_step_that_does_not_descend": (SimplifiedSystem(), TwoSegmentPath(),
+                                                   [1.0, 1.0], "left", 0, -0.8, 1),
+    # every halving of one continuation step fails: the curve is truncated
+    "trace_gives_up": (TwoLayerSystem(G, 0.95), SegmentsPath(), [0.5, 0.1, 1.0, 0.0],
+                       "left", 1, -0.25, 2),
+}
+
+
+def traced(case):
+    system, path, fixed, side, k, d, steps = RECOVERY[case]
+    xi0 = float(system.eigenvalues(np.array(fixed))[k])
+    return system, path, fixed, side, xi0, xi0 + d, trace_exact(system, path, fixed, side,
+                                                                xi0, xi0 + d, steps)
+
+
+@pytest.mark.parametrize("case", RECOVERY)
+def test_a_recovered_trace_holds_the_jump_conditions(case):
+    system, path, fixed, side, xi0, xi_end, curve = traced(case)
+    w_l, w_r = (np.broadcast_to(fixed, curve.states.shape), curve.states)
+    if side == "right":
+        w_l, w_r = w_r, w_l
+    resid = curve.xi[:, None] * (w_r - w_l) - path_integral(path, system, w_l, w_r)
+    scale = max(1.0, abs(xi_end), float(np.abs(fixed).max()))
+    assert np.abs(resid).max() <= 1e-10 * scale
+    assert np.all(np.diff(curve.xi) * np.sign(xi_end - xi0) > 0)
+    if case == "trace_gives_up":
+        # the last traced speed stops short of the one no halving reached
+        assert curve.failed_at is not None
+        assert (curve.xi[-1] - xi0) / (xi_end - xi0) < (curve.failed_at - xi0) / (
+            xi_end - xi0) < 1.0
+        assert curve.failed_at == pytest.approx(-0.35536205467942683, abs=1e-12)
+    else:
+        assert curve.failed_at is None
+        assert curve.xi[-1] == pytest.approx(xi_end, abs=1e-12)
+
+
+def test_the_pinned_inputs_run_the_recovery_lines():
+    # a line trace of hugoniot.py: each recovery statement runs for one of
+    # the pinned inputs
+    import sys
+
+    source = hugoniot.__file__
+    lines = open(source).read().splitlines()
+
+    def numbered(text):
+        return [i + 1 for i, line in enumerate(lines) if line.strip() == text]
+
+    after_error, no_descent = numbered("lam *= 0.5")
+    want = {"trace_halves_and_recovers": numbered("remaining *= 0.5"),
+            "newton_halves_after_an_error": [after_error],
+            "newton_halves_a_step_that_does_not_descend": [no_descent],
+            "trace_gives_up": numbered("failed_at = xi_next")}
+    for case, targets in want.items():
+        hits = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename != source:
+                return None
+            if event == "line":
+                hits.add(frame.f_lineno)
+            return trace
+
+        sys.settrace(trace)
+        try:
+            traced(case)
+        finally:
+            sys.settrace(None)
+        assert len(targets) == 1 and targets[0] in hits, case
+
+
+@settings(max_examples=15, deadline=None)
+@given(h=st.floats(0.6, 1.8), q=st.floats(0.5, 4.0), side=st.sampled_from(["left", "right"]),
+       k=st.integers(0, 1), d=st.sampled_from([-2.0, -1.0, -0.8, -0.5, 0.5]),
+       steps=st.integers(1, 6))
+@example(h=1.35, q=1.99, side="right", k=1, d=-2.0, steps=6)  # trace_halves_and_recovers
+@example(h=1.0, q=1.0, side="left", k=0, d=-0.8, steps=1)  # newton_halves_a_step_that...
+def test_a_coarse_trace_holds_the_jump_conditions_or_truncates(h, q, side, k, d, steps):
+    assume(h < np.cbrt(16.0 * q))
+    system, path, fixed = SimplifiedSystem(), TwoSegmentPath(), np.array([h, q])
+    xi0 = float(system.eigenvalues(fixed)[k])
+    curve = trace_exact(system, path, fixed, side, xi0, xi0 + d, steps)
+    w_l, w_r = np.broadcast_to(fixed, curve.states.shape), curve.states
+    if side == "right":
+        w_l, w_r = w_r, w_l
+    resid = curve.xi[:, None] * (w_r - w_l) - path_integral(path, system, w_l, w_r)
+    assert np.abs(resid).max() <= 1e-10 * max(1.0, abs(xi0 + d), float(np.abs(fixed).max()))
+    if curve.failed_at is None:
+        assert curve.xi[-1] == pytest.approx(xi0 + d, abs=1e-12)
+    else:
+        assert 0.0 < (curve.xi[-1] - xi0) / d < (curve.failed_at - xi0) / d < 1.0
