@@ -20,6 +20,7 @@ path and scheme; a refusal is a ConfigError naming the field's JSON path.
 
 import inspect
 import json
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
@@ -105,13 +106,16 @@ _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
 
 
 def _number(integer=False, **bounds):
-    """A JSON number (integer if ``integer``) within ``bounds``: gt, ge, lt or
-    le, where None is no bound.  Booleans are not numbers."""
+    """A finite JSON number (integer if ``integer``) within ``bounds``: gt,
+    ge, lt or le, where None is no bound.  Booleans are not numbers, and
+    the Infinity and NaN that ``json`` reads are refused."""
     kinds = int if integer else (int, float)
 
     def check(value, field):
         if isinstance(value, bool) or not isinstance(value, kinds):
             _refuse(field, "must be an integer" if integer else "must be a number")
+        if isinstance(value, float) and not math.isfinite(value):
+            _refuse(field, "must be finite")
         for key, bound in bounds.items():
             holds, sign = _BOUNDS[key]
             if bound is not None and not holds(value, bound):
@@ -143,6 +147,18 @@ def _list(item, min_len=None, max_len=None):
             _refuse(field, f"takes at most {max_len} entries")
         for i, entry in enumerate(value):
             item(entry, f"{field}/{i}")
+    return check
+
+
+def _tags(key, rule):
+    """``rule``, then no two entries with one file-name tag ``_tag(key, v)``:
+    their files would overwrite each other."""
+    def check(value, field):
+        rule(value, field)
+        tags = [_tag(key, v) for v in value]
+        for i, tag in enumerate(tags):
+            if tags.index(tag) < i:
+                _refuse(field, f"entries {tags.index(tag)} and {i} share the file tag {tag!r}")
     return check
 
 
@@ -231,7 +247,7 @@ def _rules(n):
                 "fixed_state": kinds["state"],
                 "fixed_side": _one_of(("left", "right")),
                 "family": _number(integer=True, ge=1, le=n),
-                "meshes_dx": _list(_POSITIVE, min_len=1),
+                "meshes_dx": _tags("dx", _list(_POSITIVE, min_len=1)),
                 "domain": _INTERVAL,
                 "t_end": _POSITIVE,
                 "snapshot_times": _list(_NUMBER, min_len=2),
@@ -240,7 +256,7 @@ def _rules(n):
                 "xi_targets": _list(_NUMBER, min_len=1),
                 "component_targets": _section({"component": index,
                                                "values": _list(_NUMBER, min_len=1)}),
-                "epsilons": _list(_number(ge=0)),
+                "epsilons": _tags("eps", _list(_number(ge=0))),
                 "extract_component": index,
                 "threshold": _POSITIVE,
                 "trace_steps": _number(integer=True, ge=4),
@@ -344,15 +360,14 @@ def boundary_for(cfg, sol):
 # Artifact writers
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, rows):
+    """``rows`` under ``header``, each number as ``format(v, ".17g")``; one
+    format per row, so no text of the whole array is held at once."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in np.asarray(rows, dtype=float):
+            fh.write(line % tuple(row.tolist()))
 
 
 def _write_json(path, payload):
@@ -524,13 +539,13 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
     def cells(dx):
         return int(round((domain[1] - domain[0]) / dx))
 
-    # the jobs of one (path variant, mesh) pair share the scheme, the path
-    # and the grid: they evolve in lockstep, in groups of bounded size
-    pairs = {}
-    for i, (eps, _, _, _, dx) in enumerate(jobs):
-        pairs.setdefault((eps, dx), []).append(i)
+    # the jobs of one mesh share the grid: they evolve in lockstep, in groups
+    # of bounded size, each path variant's jobs by its own scheme
+    by_mesh = {}
+    for i, (_, _, _, _, dx) in enumerate(jobs):
+        by_mesh.setdefault(dx, []).append(i)
     groups = []
-    for (_, dx), members in pairs.items():
+    for dx, members in by_mesh.items():
         size = max(1, _GROUP_LANES // cells(dx))
         groups += [members[k:k + size] for k in range(0, len(members), size)]
 
@@ -553,17 +568,19 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
     def one_group(members):
         """(each member's (entry, failure) from ``measure``; the job index and
         the error of the first member whose evolution fails, or None)."""
-        _, vcfg, _, _, dx = jobs[members[0]]
-        system, path, scheme = build_components(vcfg, seed=seed)
-        grid = Grid(domain[0], domain[1], cells(dx))
+        # each group builds its own components (a sampler starts afresh)
+        variants = {jobs[i][0]: jobs[i][1] for i in members}
+        built = {eps: build_components(vcfg, seed=seed) for eps, vcfg in variants.items()}
+        grid = Grid(domain[0], domain[1], cells(jobs[members[0]][4]))
         sols = [Solution(grid, 0.0, _jump(grid.centers, 0.0,
                                           *_ordered_pair(fixed, jobs[i][3], side)))
                 for i in members]
-        runs, failure = _march(scheme, sols, sweep["t_end"], cfg["cfl"], None,
+        runs, failure = _march([built[jobs[i][0]][2] for i in members], sols,
+                               sweep["t_end"], cfg["cfl"], None,
                                sweep["snapshot_times"], None)
         if failure is not None:
             return [], (members[failure[0]], failure[1])
-        return [measure(jobs[i], snaps, system, path)
+        return [measure(jobs[i], snaps, *built[jobs[i][0]][:2])
                 for i, snaps in zip(members, runs)], None
 
     outcomes = [None] * len(jobs)

@@ -48,7 +48,8 @@ class PathFamily:
     them), ``epsilon`` is the shape parameter (its default on the class)
     and None for a family without one, where a config may not set it.
     Families with a closed form declare ``couplings`` and implement
-    ``closed_form_integral``.
+    ``closed_form_integral``.  ``stack`` gives one member that carries the
+    shape parameters of several jobs.
     """
 
     name = "path"
@@ -60,6 +61,15 @@ class PathFamily:
     def for_system(cls, system, epsilon=0.0):
         """The member used with ``system``, at shape parameter ``epsilon``."""
         return cls()
+
+    @classmethod
+    def stack(cls, paths):
+        """The member whose ``epsilon`` is the (J, 1) column of the members
+        ``paths``, one row per job: its coupling of (J, m) stacks of pairs is
+        each member's coupling of its row, bit for bit."""
+        if cls.epsilon is None:
+            raise DomainError(f"{cls.name} has no shape parameter to stack")
+        return cls(np.array([[p.epsilon] for p in paths]))
 
     def coupling(self, system, u_l, u_r):
         """Path averages of the system's nonconservative coefficients, batched."""
@@ -215,9 +225,12 @@ class SkewedSegmentsPath(PathFamily):
         return cls(epsilon)
 
     def __init__(self, epsilon=0.0):
-        if epsilon < 0:
+        e = np.asarray(epsilon, dtype=float)
+        if not np.all(np.isfinite(e)):
+            raise DomainError("skew parameter must be finite")
+        if np.any(e < 0):
             raise DomainError("skew parameter must be >= 0")
-        self.epsilon = float(epsilon)
+        self.epsilon = float(e) if e.ndim == 0 else e
 
     def _eta(self, s, h1_l, h1_r):
         e = self.epsilon
@@ -262,6 +275,8 @@ class SkewedSegmentsPath(PathFamily):
         )
 
     def coupling_coefficients(self, h1_l, h1_r, h2_l, h2_r):
+        # a stacked epsilon column broadcasts through the same operations in
+        # the same order as a float one, so each job keeps its bits
         e = self.epsilon
         den = 6.0 * (1.0 + e) * (h1_l + h1_r)
         c1 = ((3 + 4 * e) * (h1_l**2 + h1_r**2) + 2 * (3 + 2 * e) * h1_l * h1_r) / den

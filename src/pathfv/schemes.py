@@ -563,17 +563,23 @@ def evolve_group(scheme, sols, t_end, cfl, bc=None, snapshot_times=(), on_step=N
     done its error is raised, which is the error that evolving the jobs one
     after another raises.
     """
-    runs, failure = _march(scheme, sols, t_end, cfl, bc, snapshot_times, on_step)
+    sols = list(sols)
+    runs, failure = _march([scheme] * len(sols), sols, t_end, cfl, bc, snapshot_times,
+                           on_step)
     if failure is not None:
         _, exc = failure
         raise exc
     return runs
 
 
-def _march(scheme, sols, t_end, cfl, bc, snapshot_times, on_step):
-    """``evolve_group``'s loop: (the snapshot lists of the jobs before the
-    first failing one, all of them if none fails; (j, error) of that job
-    j, or None)."""
+def _march(schemes, sols, t_end, cfl, bc, snapshot_times, on_step):
+    """``evolve_group``'s loop, with one scheme per job in ``schemes``:
+    (the snapshot lists of the jobs before the first failing one, all of
+    them if none fails; (j, error) of that job j, or None).
+
+    A group step takes the live jobs' scheme when they share one object,
+    else one scheme over the stack of their paths, built again when a job
+    leaves; a step redone one job at a time takes each job's own."""
     bc = bc or FreeBoundary()
     sols = list(sols)
     marks = [sorted(t for t in set(snapshot_times) if s.t < t <= t_end) for s in sols]
@@ -583,14 +589,17 @@ def _march(scheme, sols, t_end, cfl, bc, snapshot_times, on_step):
 
     def dt_of(j):
         if speed[j] is None:
-            speed[j] = _max_speed(scheme.system, sols[j].states)
+            speed[j] = _max_speed(schemes[j].system, sols[j].states)
         dt = min(_courant_dt(cfl, sols[j].grid.dx, speed[j]), t_end - sols[j].t)
         return min(dt, marks[j][0] - sols[j].t) if marks[j] else dt
 
     failure = None
     guard = 0  # every live job has taken every group step: one count serves all
     live = [j for j, s in enumerate(sols) if s.t < t_end - 1e-13]
+    size = 0  # live jobs only leave: a new count is a new set
     while live:
+        if len(live) != size:
+            size, scheme = len(live), _group_scheme([schemes[j] for j in live])
         batch = Batch([sols[j] for j in live])
         try:
             new = scheme.advance(batch, [dt_of(j) for j in live], bc=bc,
@@ -600,8 +609,8 @@ def _march(scheme, sols, t_end, cfl, bc, snapshot_times, on_step):
             new = []
             for k, j in enumerate(live):
                 try:
-                    new += scheme.advance(batch.job(k), [dt_of(j)], bc=bc,
-                                          lambda_max=[speed[j]])
+                    new += schemes[j].advance(batch.job(k), [dt_of(j)], bc=bc,
+                                              lambda_max=[speed[j]])
                 except PathFVError as exc:
                     failure = j, exc
                     break
@@ -624,6 +633,16 @@ def _march(scheme, sols, t_end, cfl, bc, snapshot_times, on_step):
         if not run or run[-1].t < sol.t - 1e-13:
             run.append(sol)
     return snaps[:done], failure
+
+
+def _group_scheme(schemes):
+    """The scheme of one step of jobs with the schemes ``schemes``: theirs
+    if they share one object, else one of its class over the stack of their
+    paths (``PathFamily.stack``), whose step gives each job its own bits."""
+    first = schemes[0]
+    if all(s is first for s in schemes):
+        return first
+    return type(first)(first.system, type(first.path).stack([s.path for s in schemes]))
 
 
 SCHEMES = {

@@ -15,6 +15,7 @@ from pathfv.experiments import (
     run,
     sweep_hugoniot,
     validate_config,
+    write_csv,
 )
 from pathfv.paths import PATHS
 from pathfv.schemes import SCHEMES
@@ -259,6 +260,90 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(root)
         assert str(err.value) == "<root>: must be an object"
+
+    # the numeric fields of a run config and of a two-layer sweep config
+    RUN_NUMBERS = [("t_end", "t_end"), ("cfl", "cfl"), ("grid/x_min", "grid/x_min"),
+                   ("grid/x_max", "grid/x_max"), ("initial/x0", "initial/x0"),
+                   ("initial/left", "initial/left/1"),
+                   ("output/snapshot_times", "output/snapshot_times/1"),
+                   ("output/mass_ledger/half_width", "output/mass_ledger/half_width"),
+                   ("output/mass_ledger/flux_rate", "output/mass_ledger/flux_rate")]
+    SWEEP_NUMBERS = [("system/g", "system/g"), ("system/r", "system/r"),
+                     ("path/epsilon", "path/epsilon"), ("sweep/epsilons", "sweep/epsilons/1"),
+                     ("sweep/fixed_state", "sweep/fixed_state/1"),
+                     ("sweep/meshes_dx", "sweep/meshes_dx/1"),
+                     ("sweep/domain", "sweep/domain/1"), ("sweep/t_end", "sweep/t_end"),
+                     ("sweep/snapshot_times", "sweep/snapshot_times/1"),
+                     ("sweep/window", "sweep/window/1"),
+                     ("sweep/xi_targets", "sweep/xi_targets/1"),
+                     ("sweep/threshold", "sweep/threshold"),
+                     ("sweep/trace_pad", "sweep/trace_pad")]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("key, field", RUN_NUMBERS + SWEEP_NUMBERS)
+    def test_numbers_must_be_finite(self, key, field, value):
+        if (key, field) in self.RUN_NUMBERS:
+            cfg = tiny_run_config()
+            cfg["initial"]["x0"] = 0.0
+        else:
+            cfg = load_config("twolayer_paths_lf")
+            cfg["path"]["epsilon"] = 0.01
+        entry = field.rsplit("/", 1)[-1]
+        if entry.isdigit():  # a list entry: replace it
+            *sections, last = key.split("/")
+            node = cfg
+            for section in sections:
+                node = node[section]
+            node[last] = list(node[last])
+            node[last][int(entry)] = value
+        else:
+            with_value(cfg, key, value)
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value) == f"{field}: must be finite"
+
+    def test_json_infinity_is_refused(self, tmp_path):
+        # json reads Infinity and NaN as floats
+        text = json.dumps(tiny_run_config(t_end=float("inf")))
+        assert "Infinity" in text
+        (tmp_path / "inf.json").write_text(text)
+        with pytest.raises(ConfigError) as err:
+            validate_config(load_config(str(tmp_path / "inf.json")))
+        assert str(err.value) == "t_end: must be finite"
+
+    @pytest.mark.parametrize("key, values, tag", [
+        ("epsilons", [0.01, 0.0100000001], "_eps0p01"),
+        ("epsilons", [0.0, 0.02, 0.02], "_eps0p02"),
+        ("meshes_dx", [0.02, 0.0200000001], "_dx0p02"),
+        ("meshes_dx", [0.01, 0.01], "_dx0p01"),
+    ])
+    def test_sweep_values_must_differ_in_their_file_tag(self, key, values, tag):
+        # two such values would write one file, and the report would list
+        # two curves pointing at it
+        cfg = load_config("twolayer_paths_lf")
+        cfg["sweep"][key] = values
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.field == f"sweep/{key}"
+        last = len(values) - 1
+        assert str(err.value) == (f"sweep/{key}: entries {last - 1} and {last} share "
+                                  f"the file tag {tag!r}")
+        cfg["sweep"][key] = [values[0], 2 * values[-1]]
+        validate_config(cfg)
+
+
+def test_write_csv_formats_every_value_as_format_17g(tmp_path):
+    edges = [-0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e300]
+    rows = np.vstack([edges, np.random.default_rng(5).normal(size=(4, 6)) * 1e3])
+    write_csv(tmp_path / "a.csv", list("abcdef"), rows)
+    want = "a,b,c,d,e,f\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+    assert (tmp_path / "a.csv").read_text() == want
+    assert want.splitlines()[1] == (
+        "-0,inf,-inf,nan,4.9406564584124654e-324,1.0000000000000001e+300")
+    # a list of rows (a sweep's numerical curve) writes the same text
+    write_csv(tmp_path / "b.csv", list("abcdef"), [list(row) for row in rows])
+    assert (tmp_path / "b.csv").read_text() == want
 
 
 class TestRun:

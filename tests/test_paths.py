@@ -175,6 +175,14 @@ def test_skewed_closed_form_vs_quadrature():
     assert np.abs(closed - quad).max() < 1e-10
 
 
+@pytest.mark.parametrize("epsilon, reason", [(float("nan"), "finite"),
+                                             (float("inf"), "finite"), (-0.1, ">= 0")])
+def test_skewed_refuses_a_non_finite_or_negative_parameter(epsilon, reason):
+    with pytest.raises(DomainError) as err:
+        SkewedSegmentsPath(epsilon)
+    assert str(err.value) == f"skew parameter must be {reason}"
+
+
 def test_skewed_coupling_coefficients_by_parts():
     path = SkewedSegmentsPath(0.037)
     h1l, h1r, h2l, h2r = 0.7, 2.3, 1.9, 0.4
