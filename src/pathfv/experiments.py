@@ -524,9 +524,17 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
 
     exact_curves = {}
     jobs = []
+    failures = {}  # per path variant, in job order
     for eps, vcfg in variants:
         system, path, _ = build_components(vcfg, seed=seed)
-        curve, points = _exact_sweep_points(system, path, sweep, fixed, side)
+        try:
+            curve, points = _exact_sweep_points(system, path, sweep, fixed, side)
+        except TraceError as exc:  # the variant's jobs fail; the others go on
+            failures[eps] = [{"epsilon": eps, "xi_target": xi_t, "dx": dx,
+                              "error": f"{type(exc).__name__}: {exc}"}
+                             for xi_t in sorted(sweep.get("xi_targets", [None]))
+                             for dx in sweep["meshes_dx"]]
+            continue
         exact_curves[eps] = curve
         write_csv(
             out / f"exact_curve{_tag('eps', eps)}.csv",
@@ -596,16 +604,15 @@ def sweep_hugoniot(cfg, out_dir, seed=None, threads=1):
         raise exc
 
     by_variant = {}
-    failures = []
     for (eps, _, _, _, dx), (entry, failure) in zip(jobs, outcomes):
         if failure is None:
             by_variant.setdefault((eps, dx), []).append(entry)
         else:
-            failures.append(failure)
+            failures.setdefault(eps, []).append(failure)
 
     report = {
         "name": name,
-        "failures": failures,
+        "failures": [f for eps, _ in variants for f in failures.get(eps, [])],
         "numerical_curves": [],
         "distances": {"to_exact": [], "mesh_to_mesh": [], "epsilon_pairs": []},
     }

@@ -27,7 +27,11 @@ The solution of a Riemann problem is a fan w_l -> w_star -> w_r made of
 one wave per family.  ``solve_riemann`` solves ``(..., 2)`` arrays of
 pairs, one lane each, in one damped Newton iteration over all lanes; a lane
 leaves it when its own test passes, so its result does not depend on the
-rest of the batch.  The iteration has two kernels.  It steps in NumPy
+rest of the batch.  Each lane starts where the two integral curves meet
+(the two-rarefaction state; Toro, *Riemann Solvers and Numerical Methods
+for Fluid Dynamics*, 4.3.2), and its Jacobian comes from the curves'
+slopes in closed form, which ``_wave_curves`` returns with the curves.  The
+iteration has two kernels.  It steps in NumPy
 (``_newton_step``) while more than ``_SCALAR_LANES`` lanes iterate, since
 one step costs about the same at any small lane count; then it hands each
 remaining lane, from its current row and with the steps left of its cap,
@@ -51,16 +55,15 @@ from .errors import CurveRangeError, RiemannSolutionError
 
 _TRIV_TOL = 1e-13  # relative scale below which a wave counts as null
 NULL, SHOCK, RAREFACTION = 0, 1, 2  # wave kind codes of a WaveFan
-_STENCIL = np.array([[0.0], [1.0], [-1.0]])  # h, h + dh, h - dh
 
 # Every lane of a batch goes through the floating-point operations it would
 # go through alone.  Powers use np.float_power, which calls the C library's
 # pow as math.pow does; np.power may round differently (SIMD pow).
 
 # a Newton iteration with at most this many lanes left finishes them in
-# Python floats: the largest size of BENCH_19.json's crossover table at which
-# stepping every lane in Python beat one NumPy step in every run (the kernels
-# meet between 32 and 64 lanes)
+# Python floats.  In BENCH_25.json one step of each lane in Python meets one
+# NumPy step at about 64 lanes; on the batches of the benchmark's Godunov
+# run, 32 solved fastest at two seeds, 64 close behind, 16 and 128 slower
 _SCALAR_LANES = 32
 
 
@@ -71,12 +74,12 @@ def _shock_q(h_l, q_l, h):
 
 def _wave_curves(anchors, h):
     """q on the forward 1-curve from w_l and the backward 2-curve into w_r
-    at thickness h, lane by lane, as (q1, q2, bad); ``bad`` marks lanes off
-    either curve's range.  ``anchors`` is (h_l, q_l, sqrt(u_l), h_r, q_r,
-    sqrt(u_r)) with h > 0 and q >= 0.  The 1-curve is a shock for h >= h_l
-    and a rarefaction below.  On the 2-curve's shock side (h > h_r) the
-    unknown state sits on the LEFT of the jump, so its own q enters the jump
-    condition; eliminating xi leaves
+    at thickness h, and their slopes s = dq/dh, lane by lane, as (q1, q2,
+    s1, s2, bad); ``bad`` marks lanes off either curve's range.  ``anchors``
+    is (h_l, q_l, sqrt(u_l), h_r, q_r, sqrt(u_r)) with h > 0 and q >= 0.  The
+    1-curve is a shock for h >= h_l and a rarefaction below.  On the
+    2-curve's shock side (h > h_r) the unknown state sits on the LEFT of the
+    jump, so its own q enters the jump condition; eliminating xi leaves
 
         (h_r/h) q^2 - (2 q_r + (h_r-h)^2 (h_r+h)/2) q + q_r^2 h/h_r = 0
 
@@ -85,72 +88,95 @@ def _wave_curves(anchors, h):
     """
     h_l, q_l, psi_l, h_r, q_r, psi_r = anchors
     # integral curves: q = h su^2 while su >= 0, which only the 2-curve's
-    # rarefaction side can break
-    su = psi_l - (h - h_l) / 2.0
+    # rarefaction side can break; su moves by -+1/2 per unit of h
+    off_l = h - h_l
+    su = psi_l - off_l / 2.0
     q1 = h * su * su
-    np.copyto(q1, _shock_q(h_l, q_l, h), where=h >= h_l)
-    su = psi_r + (h - h_r) / 2.0
+    s1 = su * (su - h)
+    shock = h >= h_l
+    np.copyto(q1, _shock_q(h_l, q_l, h), where=shock)
+    # the 1-shock's sqrt(q_l h (h + h_l)/(2 h_l)) is psi_l rise: the slope
+    # has no 0/0 at q_l = 0
+    rise = np.sqrt(h * (h + h_l) / 2.0)
+    np.copyto(s1, psi_l * (psi_l - rise - off_l * (2.0 * h + h_l) / (4.0 * rise)), where=shock)
+    off_r, sum_r = h - h_r, h_r + h
+    su = psi_r + off_r / 2.0
     q2 = h * su * su
+    s2 = su * (su + h)
     bad = (su < 0) | (h <= 0)
     # root of a q^2 - b q + q_r^2/a = 0 with a = h_r/h, b = 2 q_r + t,
     # t = (h_r-h)^2 (h_r+h)/2.  The discriminant factors as t (4 q_r + t),
     # which avoids the cancellation in b^2 - 4ac for small jumps.
-    t = 0.5 * np.float_power(h_r - h, 2.0) * (h_r + h)
-    root = np.sqrt(t * (4.0 * q_r + t))
-    np.copyto(q2, (2.0 * q_r + t + root) / (2.0 * (h_r / h)), where=h > h_r)
-    return q1, q2, bad
+    t = 0.5 * np.float_power(h_r - h, 2.0) * sum_r
+    b, c = 2.0 * q_r + t, 4.0 * q_r + t
+    num = b + np.sqrt(t * c)
+    shock = h > h_r
+    np.copyto(q2, num / (2.0 * (h_r / h)), where=shock)
+    # d/dh of q2 = h num/(2 h_r), with t' = (h - h_r)(h_r + 3h)/2 and the
+    # square root's t' b / sqrt(t c), where t' / sqrt(t c) drops the factor
+    # |h - h_r|
+    h3 = h_r + 3.0 * h
+    over_root = h3 / (2.0 * np.sqrt(sum_r / 2.0) * np.sqrt(c))
+    np.copyto(s2, (num + h * (off_r * h3 / 2.0 + over_root * b)) / (2.0 * h_r), where=shock)
+    return q1, q2, s1, s2, bad
 
 
 def _lane_state(anchors, h, q):
     """One column per lane: h, q, the residuals r1 = q - q1, r2 = q - q2 at h
-    and their max norm, q1 and q2 at the Jacobian's points h -+ dh, dh =
-    1e-7 max(h, 1), then 1.0 where those points and where h are off range.
-    ``anchors`` (6, 3, k) repeats each lane's anchors for its three points."""
-    points = h + 1e-7 * np.maximum(h, 1.0) * _STENCIL
-    q1, q2, bad = (v.reshape(points.shape)
-                   for v in _wave_curves(anchors.reshape(6, -1), points.ravel()))
-    r1, r2 = q - q1[0], q - q2[0]
-    return np.array((h, q, r1, r2, np.maximum(np.abs(r1), np.abs(r2)), q1[1], q1[2],
-                     q2[1], q2[2], bad[1] | bad[2], bad[0]))
+    and their max norm, the slopes s1, s2 there, then 1.0 where h is off
+    range."""
+    q1, q2, s1, s2, bad = _wave_curves(anchors, h)
+    r1, r2 = q - q1, q - q2
+    return np.array((h, q, r1, r2, np.maximum(np.abs(r1), np.abs(r2)), s1, s2, bad))
+
+
+def _over(a, b):
+    """a / b for a >= 0 or NaN, with NumPy's inf or NaN where b is 0: the
+    NaN of 0 * inf is the one the hardware makes for 0/0."""
+    return a / b if b else (math.inf if a > 0.0 else a * math.inf)
 
 
 def _curves_at(anchors, h):
     """``_wave_curves`` at one thickness in Python floats, by the same
     operations in the same order, so with the same bits.  Where NumPy
-    returns inf without raising (a square past the float range, a shock
-    denominator h_r/h that underflows to 0) so does this."""
+    returns inf or NaN without raising (a square past the float range, a
+    quotient by 0 after an underflow) so does this."""
     h_l, q_l, psi_l, h_r, q_r, psi_r = anchors
     if h >= h_l:
-        q1 = q_l * h / h_l - (h - h_l) * math.sqrt(q_l * h * (h + h_l) / (2.0 * h_l))
+        off_l = h - h_l
+        q1 = q_l * h / h_l - off_l * math.sqrt(q_l * h * (h + h_l) / (2.0 * h_l))
+        rise = math.sqrt(h * (h + h_l) / 2.0)
+        s1 = psi_l * (psi_l - rise - _over(off_l * (2.0 * h + h_l), 4.0 * rise))
     else:
         su = psi_l - (h - h_l) / 2.0
         q1 = h * su * su
-    su = psi_r + (h - h_r) / 2.0
+        s1 = su * (su - h)
+    off_r, sum_r = h - h_r, h_r + h
+    su = psi_r + off_r / 2.0
     if h > h_r:
         try:
-            t = 0.5 * math.pow(h_r - h, 2.0) * (h_r + h)
+            t = 0.5 * math.pow(h_r - h, 2.0) * sum_r
         except OverflowError:
             t = math.inf
-        den = 2.0 * (h_r / h)
-        # the numerator exceeds t > 0, so NumPy's quotient by 0 is inf
-        q2 = (2.0 * q_r + t + math.sqrt(t * (4.0 * q_r + t))) / den if den else math.inf
+        b, c = 2.0 * q_r + t, 4.0 * q_r + t
+        num = b + math.sqrt(t * c)
+        q2 = _over(num, 2.0 * (h_r / h))
+        h3 = h_r + 3.0 * h
+        over_root = _over(h3, 2.0 * math.sqrt(sum_r / 2.0) * math.sqrt(c))
+        s2 = (num + h * (off_r * h3 / 2.0 + over_root * b)) / (2.0 * h_r)
     else:
         q2 = h * su * su
-    return q1, q2, su < 0 or h <= 0
+        s2 = su * (su + h)
+    return q1, q2, s1, s2, su < 0 or h <= 0
 
 
 def _lane_point(anchors, h, q):
     """``_lane_state``'s column of one lane at (h, q), in Python floats.  Its
     maxima return NaN when either argument is NaN, as ``np.maximum`` does."""
-    dh = 1e-7 * (1.0 if h < 1.0 else h)
-    # the stencil's h + 0 dh, which is not h at h = -0.0 or inf
-    q1, q2, bad = _curves_at(anchors, h + dh * 0.0)
-    p1, p2, bad_p = _curves_at(anchors, h + dh)
-    m1, m2, bad_m = _curves_at(anchors, h - dh)
+    q1, q2, s1, s2, bad = _curves_at(anchors, h)
     r1, r2 = q - q1, q - q2
     a1, a2 = abs(r1), abs(r2)
-    return (h, q, r1, r2, a1 if a1 >= a2 or a1 != a1 else a2, p1, m1, p2, m2,
-            float(bad_p or bad_m), float(bad))
+    return (h, q, r1, r2, a1 if a1 >= a2 or a1 != a1 else a2, s1, s2, float(bad))
 
 
 def _newton_lane(anchors, row, tol, steps):
@@ -159,19 +185,16 @@ def _newton_lane(anchors, row, tol, steps):
     It performs ``_newton_step``'s operations in the same order, so it
     returns the same bits."""
     for _ in range(steps):
-        h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad, _ = row
-        dh2 = 2.0 * (1e-7 * (1.0 if h < 1.0 else h))
-        j11 = ((q - p1) - (q - m1)) / dh2
-        j21 = ((q - p2) - (q - m2)) / dh2
-        det = j11 - j21
-        if fd_bad != 0.0 or det == 0.0:
+        h, q, r1, r2, rn, s1, s2, _ = row
+        det = s2 - s1
+        if det == 0.0 or not math.isfinite(det):
             return row
         step_h = -(r1 - r2) / det
-        step_q = -(r1 + j11 * step_h)
+        step_q = s1 * step_h - r1
         lam = 1.0
         for _ in range(40):
             trial = _lane_point(anchors, h + lam * step_h, q + lam * step_q)
-            if trial[10] == 0.0 and trial[4] < rn:
+            if trial[7] == 0.0 and trial[4] < rn:
                 break
             lam *= 0.5
         else:
@@ -186,24 +209,21 @@ def _newton_step(anchors, state, act, tol_scale):
     """One step of ``solve_riemann``'s Newton iteration on the lanes ``act``
     of ``state`` (``_lane_state``'s rows), in NumPy; writes the lanes that
     improve and returns those still iterating."""
-    h, q, r1, r2, rn, p1, m1, p2, m2, fd_bad = state[:10, act]
-    # finite-difference Jacobian in h; dq column is (1, 1)
-    dh2 = 2.0 * (1e-7 * np.maximum(h, 1.0))
-    j11 = ((q - p1) - (q - m1)) / dh2
-    j21 = ((q - p2) - (q - m2)) / dh2
-    det = j11 - j21
-    # solve [[j11, 1], [j21, 1]] (dh, dq) = -(r1, r2)
+    h, q, r1, r2, rn, s1, s2 = state[:7, act]
+    # solve J (dh, dq) = -(r1, r2), where the Jacobian J has the rows
+    # (-s1, 1) and (-s2, 1)
+    det = s2 - s1
     step_h = -(r1 - r2) / det
-    search = np.array((h, q, step_h, -(r1 + j11 * step_h), rn))
-    todo = np.flatnonzero((fd_bad == 0.0) & (det != 0.0))  # into act
+    search = np.array((h, q, step_h, s1 * step_h - r1, rn))
+    todo = np.flatnonzero(np.isfinite(det) & (det != 0.0))  # into act
     improved = np.zeros(act.size, dtype=bool)
     lam = 1.0
     for _ in range(40):
         if not todo.size:
             break
         h0, q0, dh0, dq0, rn0 = search[:, todo]
-        trial = _lane_state(anchors[..., act[todo]], h0 + lam * dh0, q0 + lam * dq0)
-        take = (trial[10] == 0.0) & (trial[4] < rn0)
+        trial = _lane_state(anchors[:, act[todo]], h0 + lam * dh0, q0 + lam * dq0)
+        take = (trial[7] == 0.0) & (trial[4] < rn0)
         done = todo[take]
         state[:, act[done]] = trial[:, take]
         improved[done] = True
@@ -306,12 +326,18 @@ def solve_riemann(w_l, w_r):
     """Intersect the forward 1-curve from w_l with the backward 2-curve to w_r.
 
     ``w_l`` and ``w_r`` broadcast to (..., 2), one Riemann problem per lane.
-    Damped 2-D Newton on (h, q) from the midpoint, halving the step until
-    the residual decreases, for at most 100 steps or until the max-norm
-    residual is 1e-13 relative; lanes where Newton stalls fall back to a
-    bracketed scalar solve in h.  Raises
+    Damped 2-D Newton on (h, q) with the wave curves' exact slopes, from
+    the two-rarefaction state, where the integral curves meet: h0 =
+    sqrt(u_l) - sqrt(u_r) + (h_l + h_r)/2 and q0 = h0 su0^2 with su0 =
+    sqrt(u_l) - (h0 - h_l)/2, where h0 > 0 and su0 >= 0, else from the
+    midpoint.  It halves the step until the residual
+    decreases, for at most 100 steps or until the max-norm residual is
+    1e-13 relative.  Lanes where Newton stalls, and lanes that end below h_l
+    and h_r where h0 <= 0 (the vacuum, where both curves and the residual
+    vanish), fall back to a bracketed scalar solve in h.  Raises
     ``RiemannSolutionError`` with the first failing lane (C order) in
-    ``index``: h <= 0 or q < 0, no admissible start, the bracketed solve
+    ``index``: h <= 0 or q < 0, no admissible start (the midpoint off the
+    2-curve's range, whatever the start), the bracketed solve
     failing (no sign change, a NaN gap, no convergence, or a residual above
     1e-9 relative to the largest of 1, |q_l|, |q_r| and |q| at the root,
     given in ``residual``), or disordered wave speeds.
@@ -329,23 +355,32 @@ def solve_riemann(w_l, w_r):
     trivial = (np.abs(h_l - h_r) <= _TRIV_TOL * np.maximum(h_l, h_r)) & (
         np.abs(q_l - q_r) <= _TRIV_TOL * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
-        anchors = np.repeat(np.array((h_l, q_l, np.sqrt(q_l / h_l), h_r, q_r,
-                                      np.sqrt(q_r / h_r)))[:, None], 3, axis=1)
+        psi_l, psi_r = np.sqrt(q_l / h_l), np.sqrt(q_r / h_r)
+        anchors = np.array((h_l, q_l, psi_l, h_r, q_r, psi_r))
         h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
-        state = _lane_state(anchors, h, q)
-        start_bad = (state[10] != 0.0) & ~trivial  # trivial lanes need no iteration
-        # w_l would be off range too: su grows with h, and h_l <= h where su < 0
+        # a lane is refused where its midpoint is off the 2-curve's range (its
+        # h > 0); w_l would be off range too: su grows with h, and h_l <= h
+        # where su < 0.  Trivial lanes need no iteration.
+        start_bad = (psi_r + (h - h_r) / 2.0 < 0) & ~trivial
         if start_bad.any():
             raise _lane_error("no admissible start for the Newton iteration",
                               np.flatnonzero(start_bad))
+        # Newton starts where the two integral curves meet (the two-rarefaction
+        # state), where that point is in the state space
+        h0 = psi_l - psi_r + h
+        su0 = psi_l - (h0 - h_l) / 2.0
+        two_rarefactions = (h0 > 0) & (su0 >= 0)
+        np.copyto(h, h0, where=two_rarefactions)
+        np.copyto(q, h0 * su0 * su0, where=two_rarefactions)
+        state = _lane_state(anchors, h, q)
         tol_scale = 1e-13 * scale
         # a lane that leaves is dropped, so a hard lane costs the rest nothing;
-        # a trial point brings its own h -+ dh, so a step needs no evaluation
+        # a trial point brings its own slopes, so a step needs no evaluation
         act = np.flatnonzero(~trivial & ~(state[4] <= tol_scale))
         for left in range(100, 0, -1):
             if act.size <= _SCALAR_LANES:
                 # each lane finishes its remaining steps in Python floats
-                rows = zip(anchors[:, 0, act].T.tolist(), state[:, act].T.tolist(),
+                rows = zip(anchors[:, act].T.tolist(), state[:, act].T.tolist(),
                            tol_scale[act].tolist())
                 state[:, act] = np.array(
                     [_newton_lane(a, row, tol, left) for a, row, tol in rows]).T
@@ -354,10 +389,13 @@ def solve_riemann(w_l, w_r):
 
         state[:2, trivial] = w_l[trivial].T
         h, q, rn = state[0], state[1], state[4]
-        for i in np.flatnonzero(~trivial & ~(rn <= tol_scale) & (rn > 1e-10 * scale)):
-            lane = anchors[:, 0, i].tolist()
+        # below h_l and h_r both curves are rarefactions, which meet only at
+        # h0: where h0 <= 0 a small residual there marks the vacuum, not a root
+        vacuum = (h0 <= 0) & (h < np.minimum(h_l, h_r))
+        for i in np.flatnonzero(~trivial & (vacuum | ~(rn <= tol_scale) & (rn > 1e-10 * scale))):
+            lane = anchors[:, i].tolist()
             h[i] = h_i = _bisect_intersection(lane, i)
-            q1, q2, _ = _curves_at(lane, h_i)
+            q1, q2 = _curves_at(lane, h_i)[:2]
             # q = q1, so the larger residual is |q1 - q2|; it is measured on
             # the scale of q at the root too, where the gap rounds
             res = abs(q1 - q2)
@@ -432,12 +470,12 @@ def _bisect_intersection(anchors, lane):
     Every refusal, here or in ``brentq``, is a ``RiemannSolutionError`` whose
     ``index`` is ``lane``."""
     def gap(h):
-        q1, q2, _ = _curves_at(anchors, h)
+        q1, q2 = _curves_at(anchors, h)[:2]
         return q1 - q2
 
     h_l, h_r = anchors[0], anchors[3]
     grid = np.geomspace(1e-4 * min(h_l, h_r), 50.0 * max(h_l, h_r), 400)
-    q1, q2, bad = _wave_curves(anchors, grid)
+    q1, q2, _, _, bad = _wave_curves(anchors, grid)
     g = q1 - q2
     pair = ~bad[:-1] & (g[:-1] * g[1:] <= 0.0)
     if not pair.any():

@@ -416,8 +416,11 @@ def _build_fan(w_l, w_r, h_m, q_m):
 def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
     """Intersect the forward 1-curve from w_l with the backward 2-curve to w_r.
 
-    Damped 2-D Newton on (h, q) starting from the midpoint, halving the step
-    until the residual decreases, by the package's one-lane kernel; falls
+    Damped 2-D Newton on (h, q) starting from the two-rarefaction state (the
+    meeting point of the two integral curves; Toro, *Riemann Solvers and
+    Numerical Methods for Fluid Dynamics*, 4.3.2) or, where that is off the
+    state space, from the midpoint, halving the step until the residual
+    decreases, by the package's one-lane kernel; falls
     back to a bracketed scalar solve in h when Newton stalls, on the curves
     above.  Raises ``RiemannSolutionError`` with the last residual if both
     fail.
@@ -431,17 +434,27 @@ def solve_riemann(w_l, w_r, max_iter=100, tol=1e-13):
     def residual(h, q):
         return (q - _forward1_q((h_l, q_l), h), q - _backward2_q((h_r, q_r), h))
 
-    # the Newton iteration is the package's one-lane kernel
-    anchors = (h_l, q_l, math.sqrt(q_l / h_l), h_r, q_r, math.sqrt(q_r / h_r))
-    row = _lane_point(anchors, 0.5 * (h_l + h_r), 0.5 * (q_l + q_r))
-    if row[10]:
+    # the Newton iteration is the package's one-lane kernel; it starts where
+    # the two integral curves meet, where that point is in the state space,
+    # and else at the midpoint, which must be in range
+    psi_l, psi_r = math.sqrt(q_l / h_l), math.sqrt(q_r / h_r)
+    anchors = (h_l, q_l, psi_l, h_r, q_r, psi_r)
+    h, q = 0.5 * (h_l + h_r), 0.5 * (q_l + q_r)
+    if psi_r + (h - h_r) / 2.0 < 0:  # the 2-curve's sqrt(u) at the midpoint
         raise CurveRangeError("no admissible start for the Newton iteration")
+    h0 = psi_l - psi_r + h
+    su0 = psi_l - (h0 - h_l) / 2.0
+    if h0 > 0 and su0 >= 0:
+        h, q = h0, h0 * su0 * su0
+    row = _lane_point(anchors, h, q)
     if not row[4] <= tol * scale:
         row = _newton_lane(anchors, row, tol * scale, max_iter)
     h, q, rnorm = row[0], row[1], row[4]
     converged = rnorm <= tol * scale
+    # the rarefaction branches meet only at h0: no root below h_l and h_r
+    vacuum = h0 <= 0 and h < min(h_l, h_r)
 
-    if not converged and rnorm > 1e-10 * scale:
+    if vacuum or not converged and rnorm > 1e-10 * scale:
         h = _bisect_intersection((h_l, q_l), (h_r, q_r))
         q = _forward1_q((h_l, q_l), h)
         r1, r2 = residual(h, q)

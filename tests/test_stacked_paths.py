@@ -7,6 +7,8 @@ the numbers it gets alone, bit for bit, and the sweep must write the files
 it writes when every job runs alone.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,3 +162,25 @@ def test_a_mixed_epsilon_sweep_writes_the_files_of_its_jobs_alone(threads, tmp_p
     assert sorted(p.name for p in grouped.iterdir()) == files
     for name in files:
         assert (grouped / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_a_variant_whose_exact_points_fail_leaves_the_others_written(tmp_path):
+    # epsilon 0.3's exact trace fails at xi = 0.21: its four jobs are listed
+    # in report.json, before epsilon 1.0's extraction failures, and
+    # epsilon 0 writes the files it writes alone
+    cfg = coarse_paths_lf()
+    cfg["sweep"]["epsilons"] = [0.0, 0.3, 1.0]
+    out = px.sweep_hugoniot(cfg, tmp_path / "three")
+    report = json.loads((out / "report.json").read_text())
+    failed = [(f["epsilon"], f["xi_target"], f["dx"]) for f in report["failures"]]
+    assert failed[:4] == [(0.3, 0.13, 0.02), (0.3, 0.13, 0.015),
+                          (0.3, 0.21, 0.02), (0.3, 0.21, 0.015)]
+    assert all(f["error"] == "TraceError: Newton did not converge at xi = 0.21"
+               for f in report["failures"][:4])
+    assert {f[0] for f in failed[4:]} == {1.0}
+    assert not any("0p3" in p.name for p in out.iterdir())
+    cfg["sweep"]["epsilons"] = [0.0]
+    alone = px.sweep_hugoniot(cfg, tmp_path / "alone")
+    for name in ("exact_curve_eps0.csv", "numerical_eps0_dx0p02.csv",
+                 "numerical_eps0_dx0p015.csv"):
+        assert (out / name).read_bytes() == (alone / name).read_bytes(), name
